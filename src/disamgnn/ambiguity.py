@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .tensor import (
-    Tensor,
-    gather_rows,
-    row_dot,
-    row_l2_normalize,
-    softplus_elem,
-    weighted_sum,
-)
+from .tensor import Tensor, pair_softplus, row_l2_normalize
 
 __all__ = [
     "DisamConfig",
@@ -250,12 +243,45 @@ class NodePools:
 
 @dataclass
 class ContrastGroups:
-    """Positive/negative/auxiliary pools for each selected node."""
+    """Positive/negative/auxiliary pools for each selected node.
+
+    ``pairs()`` compiles the pools into flat pair arrays on first use and
+    keeps them, so pools must not change after the loss has seen them.
+    """
 
     pools: dict[int, NodePools] = field(default_factory=dict)
+    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pools)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(left, right, signs, weights) of every contrast pair, as ``pair_softplus`` takes them."""
+        if self._pairs is None:
+            self._pairs = _compile_pairs(self.pools)
+        return self._pairs
+
+
+def _compile_pairs(pools: dict[int, NodePools]):
+    """Flatten pools into pairs: anchors ascending, then pos, aux_pos, neg.
+
+    Positives (neighbor and auxiliary pooled) carry sign -1 and negatives
+    +1; each pair is weighted by one over the size of its pool.
+    """
+    anchors, members, signs = [], [], []
+    for v in sorted(pools):
+        p = pools[v]
+        anchors += [v, v]
+        members += [np.concatenate([p.pos, p.aux_pos]), p.neg]
+        signs += [-1.0, 1.0]
+    sizes = np.array([m.size for m in members], dtype=np.int64)
+    right = np.concatenate(members) if members else np.empty(0)
+    return (
+        np.repeat(np.asarray(anchors, dtype=np.int64), sizes),
+        right.astype(np.int64),
+        np.repeat(np.asarray(signs), sizes),
+        np.repeat(1.0 / np.maximum(sizes, 1), sizes),
+    )
 
 
 def build_contrast_groups(
@@ -292,51 +318,8 @@ def jsd_contrast_loss(
     ones) of softplus(-sim) plus mean over negatives of softplus(sim).
     Empty pools contribute nothing. Gradients reach both pair endpoints.
     """
-    anchor_idx: list[int] = []
-    other_idx: list[int] = []
-    weights: list[float] = []
-    signs: list[float] = []
-    for v in sorted(groups.pools):
-        pools = groups.pools[v]
-        pos_pool = np.concatenate([pools.pos, pools.aux_pos])
-        if pos_pool.size:
-            w = 1.0 / pos_pool.size
-            for u in pos_pool:
-                anchor_idx.append(v)
-                other_idx.append(int(u))
-                weights.append(w)
-                signs.append(-1.0)
-        if pools.neg.size:
-            w = 1.0 / pools.neg.size
-            for u in pools.neg:
-                anchor_idx.append(v)
-                other_idx.append(int(u))
-                weights.append(w)
-                signs.append(1.0)
-    if not anchor_idx:
+    left, right, signs, weights = groups.pairs()
+    if not left.size:
         return Tensor(np.zeros((1, 1)))
-
     zn = row_l2_normalize(embeddings) if normalized else embeddings
-    left = gather_rows(zn, np.asarray(anchor_idx, dtype=np.int64))
-    right = gather_rows(zn, np.asarray(other_idx, dtype=np.int64))
-    sims = row_dot(left, right)
-    signed = np.asarray(signs).reshape(-1, 1)
-    # softplus(sign * sim): sign -1 for positives, +1 for negatives.
-    terms = softplus_elem(_signed(sims, signed))
-    return weighted_sum(terms, np.asarray(weights).reshape(-1, 1))
-
-
-def _signed(sims: Tensor, signs: np.ndarray) -> Tensor:
-    """Multiply the similarity column by fixed per-row signs."""
-    vals = sims.values * signs
-
-    def grad_fn(g):
-        if sims.requires_grad:
-            sims.accumulate_grad(g * signs)
-
-    out = Tensor(vals)
-    if sims.requires_grad:
-        out.requires_grad = True
-        out._parents = (sims,)
-        out._backward_fn = grad_fn
-    return out
+    return pair_softplus(zn, left, right, signs, weights)

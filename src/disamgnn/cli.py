@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
         os.makedirs(seed_dir, exist_ok=True)
         dataio.write_history_csv(history, os.path.join(seed_dir, "history.csv"))
         dataio.write_ambiguity_csv(state, os.path.join(seed_dir, "ambiguity.csv"))
-        dataio.save_checkpoint(params, os.path.join(seed_dir, "checkpoint"))
+        dataio.save_checkpoint(params, os.path.join(seed_dir, "checkpoint"), split_seed=seed)
         per_seed.append(reports)
         print(
             f"seed {seed}: best val acc {history.best_val_acc:.4f} "
@@ -181,7 +181,15 @@ def cmd_analyze(args) -> int:
         raise ValueError(
             f"ambiguity file covers {scores.shape[0]} nodes, graph has {g.num_nodes}"
         )
-    masks = _split_for_seed(g, bundle_masks, args.split_seed)
+    split_seed = args.split_seed
+    if bundle_masks is None and split_seed is None:
+        split_seed = dataio.checkpoint_split_seed(args.checkpoint)
+        if split_seed is None:
+            raise ValueError(
+                f"{args.dataset} ships no splits and {args.checkpoint}.json records no "
+                f"split_seed; pass --split-seed"
+            )
+    masks = _split_for_seed(g, bundle_masks, split_seed)
     mask = masks.mask(args.split)
     preds = forward(params, g).class_probs.argmax(axis=1)
 
@@ -320,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--ambiguity", required=True, help="ambiguity.csv from train")
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p_an.add_argument("--split-seed", type=int, default=0,
-                      help="seed for the split when the bundle ships none")
+    p_an.add_argument("--split-seed", type=int, default=None,
+                      help="seed for the split when the bundle ships none "
+                           "(default: the seed recorded in the checkpoint)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_sw = sub.add_parser("sweep", parents=[hyper], help="grid over one hyperparameter")

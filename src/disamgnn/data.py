@@ -33,6 +33,7 @@ __all__ = [
     "PRESET_NAMES",
     "save_checkpoint",
     "load_checkpoint",
+    "checkpoint_split_seed",
     "write_history_csv",
     "write_ambiguity_csv",
     "read_ambiguity_csv",
@@ -403,8 +404,12 @@ def get_preset(name: str) -> SbmSpec:
 _CKPT_DTYPE = "<f8"
 
 
-def save_checkpoint(params: ModelParams, base_path: str) -> None:
-    """Write {base}.json manifest and {base}.bin float64 blob."""
+def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None = None) -> None:
+    """Write {base}.json manifest and {base}.bin float64 blob.
+
+    ``split_seed`` is the seed whose split trained the parameters; it is
+    recorded in the manifest (null when unknown) for ``analyze``.
+    """
     entries = []
     offset = 0
     chunks = []
@@ -422,6 +427,7 @@ def save_checkpoint(params: ModelParams, base_path: str) -> None:
         "num_classes": params.num_classes,
         "num_layers": params.num_layers,
         "sgc_k": params.sgc_k,
+        "split_seed": split_seed,
         "dtype": _CKPT_DTYPE,
         "total_bytes": offset,
         "entries": entries,
@@ -475,6 +481,15 @@ def load_checkpoint(base_path: str) -> ModelParams:
         sgc_k=manifest["sgc_k"],
         params=params,
     )
+
+
+def checkpoint_split_seed(base_path: str) -> int | None:
+    """The split seed recorded in a checkpoint manifest, or None if absent."""
+    with open(base_path + ".json") as fh:
+        seed = json.load(fh).get("split_seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ValueError(f"{base_path}.json has a non-integer split_seed {seed!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

@@ -134,17 +134,17 @@ def build_graph(edges, features, labels, num_classes: int | None = None) -> Grap
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range")
 
-    # Symmetrize, drop self-loops, dedup. unique() also sorts rows, which
-    # yields sorted neighbor lists per node.
+    # Symmetrize, drop self-loops, dedup. Keys src*n + dst sort like the
+    # (src, dst) rows, so unique() also yields sorted neighbor lists per node.
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     keep = src != dst
-    pairs = np.unique(np.stack([src[keep], dst[keep]], axis=1), axis=0)
+    keys = np.unique(src[keep] * n + dst[keep])
 
-    counts = np.bincount(pairs[:, 0], minlength=n)
+    counts = np.bincount(keys // n, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    targets = np.ascontiguousarray(pairs[:, 1])
+    targets = keys % n
 
     return Graph(
         num_nodes=n,

@@ -7,8 +7,8 @@ accumulates gradients additively into every tensor that requires them.
 
 The op set is deliberately closed: matmul, spmm, add, relu, scale,
 scalar_mul, row_l2_normalize, softmax_rows, concat_cols, gather_rows,
-row_dot, softplus_elem, weighted_sum, sum_all, dropout. Each one has a
-finite-difference test.
+row_dot, softplus_elem, weighted_sum, pair_softplus, sum_all, dropout. Each
+one has a finite-difference test.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "softplus",
     "softplus_elem",
     "weighted_sum",
+    "pair_softplus",
     "sum_all",
     "dropout",
 ]
@@ -375,6 +376,48 @@ def weighted_sum(x: Tensor, w) -> Tensor:
     def grad_fn(g):
         if x.requires_grad:
             x.accumulate_grad(g[0, 0] * w)
+
+    return _result(vals, (x,), grad_fn)
+
+
+def pair_softplus(x: Tensor, left, right, signs, weights) -> Tensor:
+    """Scalar sum_k weights[k] * softplus(signs[k] * <x[left[k]], x[right[k]]>).
+
+    ``left`` must be non-decreasing. The gradient is C @ x + C.T @ x with
+    C[left[k], right[k]] = g * weights[k] * signs[k] * sigmoid(signs[k] * sim_k),
+    so pairs in ``left`` order already are C's CSR layout: the backward
+    fills C's values and does no sort or scatter. Repeated and mirrored
+    pairs accumulate additively.
+    """
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    signs = np.asarray(signs, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if left.ndim != 1 or any(a.shape != left.shape for a in (right, signs, weights)):
+        raise ValueError("pair_softplus takes four aligned 1-D arrays")
+    n = x.shape[0]
+    if left.size and (min(left[0], right.min()) < 0 or max(left[-1], right.max()) >= n):
+        raise IndexError("pair_softplus index out of range")
+    if np.any(left[1:] < left[:-1]):
+        raise ValueError("pair_softplus needs pairs sorted by left index")
+    # Row blocks keep the gathered temporaries cache-sized instead of
+    # mapping fresh pages every call; each row's sum is the same either way.
+    step = max(1, 32768 // max(x.shape[1], 1))
+    sims = np.empty(left.size)
+    for lo in range(0, left.size, step):
+        rows = slice(lo, lo + step)
+        sims[rows] = (x.values[left[rows]] * x.values[right[rows]]).sum(axis=1)
+    z = sims * signs
+    terms = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    vals = np.array([[np.sum(terms * weights)]])
+
+    def grad_fn(g):
+        if x.requires_grad:
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(left, minlength=n), out=offsets[1:])
+            coef = g[0, 0] * weights * signs * _sigmoid(z)
+            c = _sp.csr_array((coef, right, offsets), shape=(n, n))
+            x.accumulate_grad(c @ x.values + c.T @ x.values)
 
     return _result(vals, (x,), grad_fn)
 

@@ -152,6 +152,12 @@ def op_sweep_worst():
             lambda: T.weighted_sum(
                 T.dropout(x, 0.35, np.random.default_rng(7)), w), [x]),
     )
+
+    x = t((4, 3))
+    left, right = np.array([0, 0, 1, 2, 3]), np.array([1, 3, 0, 2, 1])
+    signs, pw = np.array([-1.0, 1.0, 1.0, -1.0, 1.0]), rng.random(5)
+    worst = max(worst, fd_max_rel_err(
+        lambda: T.pair_softplus(x, left, right, signs, pw), [x]))
     return worst
 
 

@@ -400,6 +400,59 @@ def test_loss_matches_per_pair_oracle():
         assert loss.item() == pytest.approx(expected, abs=1e-10)
 
 
+def composed_contrast_loss(emb, groups, normalized):
+    """The contrast loss as a per-pair loop over the general tape ops."""
+    left, right, signs, weights = [], [], [], []
+    for v in sorted(groups.pools):
+        pools = groups.pools[v]
+        for pool, sign in ((np.concatenate([pools.pos, pools.aux_pos]), -1.0),
+                           (pools.neg, 1.0)):
+            for u in pool:
+                left.append(v)
+                right.append(int(u))
+                signs.append(sign)
+                weights.append(1.0 / pool.size)
+    zn = T.row_l2_normalize(emb) if normalized else emb
+    sims = T.row_dot(T.gather_rows(zn, left), T.gather_rows(zn, right))
+    # a constant diagonal sign matrix: each product is exact, the rest adds zeros
+    signed = T.matmul(T.Tensor(np.diag(signs)), sims)
+    return T.weighted_sum(T.softplus_elem(signed), np.reshape(weights, (-1, 1)))
+
+
+def test_fused_loss_matches_composed_ops():
+    rng = np.random.default_rng(99)
+    for rep in range(6):
+        g = random_graph(rng, n=30)
+        emb = rng.normal(size=(30, 5))
+        emb[rng.integers(0, 30)] = 0.0
+        cfg = d.DisamConfig(aux_samples=3, aux_similarity_min=0.3)
+        nodes = rng.choice(30, size=12, replace=False)
+        groups = d.build_contrast_groups(emb, g, nodes, cfg, np.random.default_rng(rep))
+        assert len(groups.pairs()[0]) > 0
+        for normalized in (True, False):
+            fused_x = T.Tensor(emb.copy(), requires_grad=True)
+            fused = d.jsd_contrast_loss(fused_x, groups, normalized=normalized)
+            T.backward(fused)
+            ref_x = T.Tensor(emb.copy(), requires_grad=True)
+            ref = composed_contrast_loss(ref_x, groups, normalized)
+            T.backward(ref)
+            # the forward keeps the composition's summation order exactly
+            assert fused.item() == ref.item()
+            assert np.max(np.abs(fused_x.grad - ref_x.grad)) < 1e-12
+
+
+def test_pairs_follow_anchor_then_pool_order():
+    groups = d.ContrastGroups()
+    groups.pools[3] = d.NodePools(np.array([5]), np.array([0, 1]), np.array([7]))
+    groups.pools[1] = d.NodePools(np.empty(0, int), np.array([2]), np.empty(0, int))
+    left, right, signs, weights = groups.pairs()
+    assert left.tolist() == [1, 3, 3, 3, 3]
+    assert right.tolist() == [2, 5, 7, 0, 1]
+    assert signs.tolist() == [1.0, -1.0, -1.0, 1.0, 1.0]
+    assert weights.tolist() == [1.0, 0.5, 0.5, 0.5, 0.5]
+    assert groups.pairs() is groups.pairs()
+
+
 def test_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(88)
     g = random_graph(rng, n=12)

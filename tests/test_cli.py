@@ -214,6 +214,49 @@ def test_analyze_rejects_mismatched_ambiguity_file(trained, bundle, tmp_path, ca
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_defaults_to_the_checkpoint_split_seed(bundle, tmp_path):
+    run = tmp_path / "run"
+    assert run_train(bundle, run, extra=("--seeds", "1")) == 0
+    seed_dir = run / "seed_1"
+    with open(seed_dir / "checkpoint.json") as fh:
+        assert json.load(fh)["split_seed"] == 1
+
+    def analyze(tag, *flags):
+        out = tmp_path / tag
+        assert cli.main(["analyze", "--dataset", bundle,
+                         "--checkpoint", str(seed_dir / "checkpoint"),
+                         "--ambiguity", str(seed_dir / "ambiguity.csv"),
+                         "--out", str(out), *flags]) == 0
+        return read_bytes(str(out / "strategy1_report.csv"))
+
+    default = analyze("default")
+    assert default == analyze("one", "--split-seed", "1")
+    assert default != analyze("zero", "--split-seed", "0")
+
+
+@pytest.mark.parametrize("recorded", ["missing", None, "1", 1.5])
+def test_analyze_needs_a_usable_recorded_split_seed(trained, bundle, tmp_path, capsys, recorded):
+    base = tmp_path / "checkpoint"
+    with open(os.path.join(trained, "seed_0", "checkpoint.json")) as fh:
+        manifest = json.load(fh)
+    if recorded == "missing":
+        del manifest["split_seed"]
+    else:
+        manifest["split_seed"] = recorded
+    with open(str(base) + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    with open(str(base) + ".bin", "wb") as fh:
+        fh.write(read_bytes(os.path.join(trained, "seed_0", "checkpoint.bin")))
+    argv = ["analyze", "--dataset", bundle, "--checkpoint", str(base),
+            "--ambiguity", os.path.join(trained, "seed_0", "ambiguity.csv"),
+            "--out", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "split_seed" in err[0]
+    assert cli.main(argv + ["--split-seed", "0"]) == 0
+
+
 SWEEP_FLAGS = ("--param", "lambda", "--values", "0.5,1.5", "--seeds", "0",
                "--hidden", "8", "--epochs", "12", "--patience", "12",
                "--warmup", "4", "--refresh", "2", "--threshold", "0.5")

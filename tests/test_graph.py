@@ -50,6 +50,25 @@ def test_duplicates_and_self_loops_dropped():
     assert g.neighbors(2).tolist() == [1]
 
 
+def test_csr_matches_row_unique_reference():
+    # reference: deduplicate (src, dst) rows with a row-wise unique
+    rng = np.random.default_rng(11)
+    for rep in range(20):
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        if len(edges):
+            edges = np.concatenate([edges, edges[::2], edges[::3, ::-1]])
+        g = d.build_graph(edges, np.zeros((n, 1)), np.arange(n) % 2, 2)
+        src = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.int64)
+        dst = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.int64)
+        keep = src != dst
+        pairs = np.unique(np.stack([src[keep], dst[keep]], axis=1), axis=0)
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
+        assert np.array_equal(g.csr_offsets, offsets)
+        assert np.array_equal(g.csr_targets, pairs[:, 1])
+        assert g.csr_targets.dtype == np.int64
+
+
 def test_neighbor_lists_sorted_and_match_dense():
     rng = np.random.default_rng(7)
     for rep in range(10):

@@ -219,6 +219,36 @@ def test_fd_weighted_sum_and_sum_all():
     fd_check(lambda: T.sum_all(x), [x])
 
 
+def test_fd_pair_softplus():
+    # both signs, anchor 0 repeated, (0, 1) beside (1, 0), a duplicated pair
+    # and a self pair; normalized, row 4 is all zero and stays zero
+    rng = np.random.default_rng(23)
+    left = np.array([0, 0, 0, 0, 1, 2, 3, 3, 4])
+    right = np.array([1, 2, 2, 4, 0, 3, 2, 3, 1])
+    signs = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    weights = rng.random(9) + 0.1
+    x = param(rng, 5, 3)
+    fd_check(lambda: T.pair_softplus(x, left, right, signs, weights), [x])
+
+    a = param(rng, 4, 3)
+    pad = T.SparseMatrix.from_scipy(np.eye(5, 4))
+
+    def normalized():
+        return T.pair_softplus(T.row_l2_normalize(T.spmm(pad, a)), left, right, signs, weights)
+
+    fd_check(normalized, [a])
+
+
+def test_pair_softplus_value_and_empty():
+    x = T.Tensor(np.array([[1.0, 0.0], [0.0, 2.0]]), requires_grad=True)
+    out = T.pair_softplus(x, [0, 1], [0, 0], [-1.0, 1.0], [0.5, 2.0])
+    assert out.item() == pytest.approx(0.5 * T.softplus(-1.0) + 2.0 * T.softplus(0.0), abs=1e-15)
+    empty = T.pair_softplus(x, [], [], [], [])
+    assert empty.item() == 0.0
+    T.backward(empty)
+    assert not np.any(x.grad)
+
+
 def test_fd_composite_two_layer_chain():
     rng = np.random.default_rng(22)
     dense = (rng.random((6, 6)) < 0.4) * 1.0
@@ -332,6 +362,12 @@ def test_op_shape_errors():
         T.weighted_sum(a, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         T.scalar_mul(a, a)
+    with pytest.raises(ValueError):
+        T.pair_softplus(a, [1, 0], [0, 1], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        T.pair_softplus(a, [0, 1], [0, 1], [1.0], [1.0, 1.0])
+    with pytest.raises(IndexError):
+        T.pair_softplus(a, [0, 1], [0, 2], [1.0, 1.0], [1.0, 1.0])
 
 
 def test_sparse_matrix_validation():

@@ -111,6 +111,25 @@ def test_refresh_schedule_controls_ambiguous_set():
             assert rb.num_ambiguous == ra.num_ambiguous
 
 
+def test_contrast_pairs_compile_once_per_refresh(monkeypatch):
+    from disamgnn import ambiguity
+
+    compile_pairs = ambiguity._compile_pairs
+    compiles = []
+
+    def counting(pools):
+        compiles.append(len(pools))
+        return compile_pairs(pools)
+
+    monkeypatch.setattr(ambiguity, "_compile_pairs", counting)
+    cfg = d.TrainConfig(max_epochs=30, patience=30, seed=2,
+                        disam=d.DisamConfig(score_threshold=1e-6, loss_weight=1.0,
+                                            warmup_epochs=10, refresh_period=10))
+    _, _, hist = run(cfg)
+    assert sum(r.loss_contrast > 0 for r in hist.records) == 20
+    assert len(compiles) == 2 and all(compiles)
+
+
 def test_early_stopping_honors_patience():
     cfg = d.TrainConfig(max_epochs=5000, patience=12, seed=1)
     _, _, hist = run(cfg)
