@@ -199,12 +199,32 @@ def build_groups(
     return _pools_for_node(zn, g, v, pos_ratio, neg_ratio)
 
 
-def _aux_candidates(zn: np.ndarray, g: Graph, v: int, min_similarity: float) -> np.ndarray:
-    sims = zn @ zn[v]
-    eligible = sims >= min_similarity
-    eligible[v] = False
-    eligible[g.neighbors(v)] = False
-    return np.flatnonzero(eligible)
+# Rows per block of the auxiliary scan are capped so that rows * num_nodes stays
+# near this many entries: an 8 MB float64 similarity block plus a 1 MB mask.
+_SCAN_BLOCK_ELEMS = 1 << 20
+
+
+def _aux_candidates(zn: np.ndarray, g: Graph, nodes: np.ndarray, min_similarity: float):
+    """Yield (v, candidates) for each v in ``nodes``, in order.
+
+    Candidates are the nodes other than v and its neighbors whose similarity
+    to v reaches ``min_similarity``, ascending. Similarities come from one
+    ``zn[block] @ zn.T`` per block of consecutive nodes.
+    """
+    rows = max(1, _SCAN_BLOCK_ELEMS // max(zn.shape[0], 1))
+    for start in range(0, nodes.size, rows):
+        block = nodes[start : start + rows]
+        eligible = zn[block] @ zn.T >= min_similarity
+        for v, row in zip(block.tolist(), eligible):
+            row[v] = False
+            row[g.neighbors(v)] = False
+            yield v, np.flatnonzero(row)
+
+
+def _sample(cand: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    if cand.size > count:
+        cand = rng.choice(cand, size=count, replace=False)
+    return np.sort(cand).astype(np.int64)
 
 
 def sample_aux_positives(
@@ -227,11 +247,8 @@ def sample_aux_positives(
         rng = np.random.default_rng()
     emb = np.asarray(embeddings, dtype=np.float64)
     zn = _normalize_rows(emb) if normalized else emb
-    cand = _aux_candidates(zn, g, v, min_similarity)
-    if cand.size <= count:
-        return np.sort(cand).astype(np.int64)
-    picked = rng.choice(cand, size=count, replace=False)
-    return np.sort(picked).astype(np.int64)
+    _, cand = next(_aux_candidates(zn, g, np.array([v], dtype=np.int64), min_similarity))
+    return _sample(cand, count, rng)
 
 
 @dataclass(frozen=True)
@@ -291,21 +308,21 @@ def build_contrast_groups(
     cfg: DisamConfig,
     rng: np.random.Generator,
 ) -> ContrastGroups:
-    """Build pools for every node in ``nodes``, skipping isolated ones."""
+    """Build pools for every node in ``nodes``, skipping isolated ones.
+
+    Auxiliary positives are drawn from ``rng`` one node at a time in the
+    order of ``nodes``, so the same order gives the same draws. Their
+    similarity scan holds one block of at most max(2**20, num_nodes)
+    float64 entries (8 MB at that cap) plus a boolean mask of the same shape.
+    """
     emb = np.asarray(embeddings, dtype=np.float64)
     zn = _normalize_rows(emb) if cfg.normalized_similarity else emb
+    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = nodes[g.degrees()[nodes] > 0]
     groups = ContrastGroups()
-    for v in np.asarray(nodes, dtype=np.int64):
-        v = int(v)
-        if g.neighbors(v).size == 0:
-            continue
+    for v, cand in _aux_candidates(zn, g, nodes, cfg.aux_similarity_min):
         pos, neg = _pools_for_node(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
-        cand = _aux_candidates(zn, g, v, cfg.aux_similarity_min)
-        if cand.size <= cfg.aux_samples:
-            aux = np.sort(cand).astype(np.int64)
-        else:
-            aux = np.sort(rng.choice(cand, size=cfg.aux_samples, replace=False)).astype(np.int64)
-        groups.pools[v] = NodePools(pos=pos, neg=neg, aux_pos=aux)
+        groups.pools[v] = NodePools(pos=pos, neg=neg, aux_pos=_sample(cand, cfg.aux_samples, rng))
     return groups
 
 

@@ -245,6 +245,11 @@ def _sweep_job(payload: dict) -> dict:
     }
 
 
+def _sweep_workers(jobs: int, cells: int) -> int:
+    """Worker processes for ``--jobs``: at most one per cell and per CPU."""
+    return max(1, min(jobs, cells, os.cpu_count() or 1))
+
+
 def cmd_sweep(args) -> int:
     if args.param not in _SWEEPABLE:
         raise ValueError(
@@ -263,16 +268,17 @@ def cmd_sweep(args) -> int:
         for k, v in vars(args).items()
         if k not in ("func", "param", "values", "jobs", "out")
     }
-    jobs = [
+    cells = [
         {"args": base, "attr": attr, "value": value, "seed": seed}
         for value in values
         for seed in args.seeds
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_job, jobs))
+    workers = _sweep_workers(args.jobs, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_job, cells))
     else:
-        results = [_sweep_job(job) for job in jobs]
+        results = [_sweep_job(cell) for cell in cells]
 
     by_value: dict = {}
     for res in results:

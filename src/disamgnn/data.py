@@ -113,11 +113,15 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
     if os.path.isfile(splits_path):
         with open(splits_path) as fh:
             blob = json.load(fh)
-        masks = SplitMasks(
-            train=np.asarray(blob["train"], dtype=np.int64),
-            val=np.asarray(blob["val"], dtype=np.int64),
-            test=np.asarray(blob["test"], dtype=np.int64),
-        )
+        ids = {}
+        for key in ("train", "val", "test"):
+            value = blob.get(key) if isinstance(blob, dict) else None
+            if not isinstance(value, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in value
+            ):
+                raise ValueError(f"{splits_path}: {key!r} must be a list of integer node ids")
+            ids[key] = np.asarray(value, dtype=np.int64)
+        masks = SplitMasks(**ids)
         for arr in (masks.train, masks.val, masks.test):
             if arr.size and arr.max() >= g.num_nodes:
                 raise ValueError("splits.json references nodes outside the graph")
@@ -537,21 +541,36 @@ def write_ambiguity_csv(state, path: str) -> None:
 
 
 def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Return (scores, is_ambiguous) arrays indexed by node id."""
-    scores: dict[int, float] = {}
-    flags: dict[int, bool] = {}
+    """Return (scores, is_ambiguous) arrays indexed by node id.
+
+    The rows must hold each node id 0..n-1 exactly once, in any order.
+    """
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            v = int(row["node_id"])
-            scores[v] = float(row["score"])
-            flags[v] = bool(int(row["is_ambiguous"]))
-    n = max(scores) + 1 if scores else 0
-    out_scores = np.zeros(n)
-    out_flags = np.zeros(n, dtype=bool)
-    for v, s in scores.items():
-        out_scores[v] = s
-        out_flags[v] = flags[v]
-    return out_scores, out_flags
+        reader = csv.DictReader(fh)
+        missing = sorted({"node_id", "score", "is_ambiguous"} - set(reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        rows = []
+        for ln, row in enumerate(reader, start=2):
+            try:
+                rows.append((int(row["node_id"]), float(row["score"]), int(row["is_ambiguous"])))
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}:{ln}: expected an integer node_id, a score and a 0/1 flag") from None
+    ids = np.array([r[0] for r in rows], dtype=np.int64)
+    order = np.sort(ids)
+    if ids.size and order[0] < 0:
+        raise ValueError(f"{path}: negative node_id {order[0]}")
+    dup = order[1:][order[1:] == order[:-1]]
+    if dup.size:
+        raise ValueError(f"{path}: duplicate node_id {dup[0]}")
+    gap = np.flatnonzero(order != np.arange(ids.size))
+    if gap.size:
+        raise ValueError(f"{path}: no row for node_id {gap[0]}, below the largest id {order[-1]}")
+    scores = np.empty(ids.size)
+    flags = np.empty(ids.size, dtype=bool)
+    scores[ids] = [r[1] for r in rows]
+    flags[ids] = [bool(r[2]) for r in rows]
+    return scores, flags
 
 
 def write_group_report_csv(rows: list[dict], path: str) -> None:

@@ -72,18 +72,14 @@ def macro_f1(preds, labels, mask, num_classes: int | None = None) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by their group average."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties replaced by their group average.
+
+    A tie group at sorted positions lo..hi-1 averages to (lo + hi + 1) / 2.
+    This equals ``scipy.stats.rankdata(x, method="average")`` without
+    importing scipy.stats, which adds ~0.7 s to every CLI start.
+    """
+    sx = np.sort(x)
+    return 0.5 * (np.searchsorted(sx, x, "left") + np.searchsorted(sx, x, "right") + 1)
 
 
 def macro_auroc(class_probs, labels, mask) -> float:

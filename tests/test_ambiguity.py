@@ -516,6 +516,54 @@ def test_build_contrast_groups_invariants():
         assert set(groups.pools) == selected
 
 
+def per_node_contrast_groups(emb, g, nodes, cfg, rng):
+    """The pool builder as a per-node loop with a full similarity scan each."""
+    zn = d.ambiguity._normalize_rows(emb) if cfg.normalized_similarity else emb
+    pools = {}
+    for v in np.asarray(nodes, dtype=np.int64).tolist():
+        if g.neighbors(v).size == 0:
+            continue
+        pos, neg = d.ambiguity._pools_for_node(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
+        eligible = zn @ zn[v] >= cfg.aux_similarity_min
+        eligible[v] = False
+        eligible[g.neighbors(v)] = False
+        cand = np.flatnonzero(eligible)
+        if cand.size > cfg.aux_samples:
+            cand = rng.choice(cand, size=cfg.aux_samples, replace=False)
+        pools[v] = (pos, neg, np.sort(cand))
+    return pools
+
+
+@pytest.mark.parametrize("block_elems", [None, 1, 90])
+def test_blocked_builder_matches_per_node_oracle(monkeypatch, block_elems):
+    if block_elems is not None:  # 1 row, or 3 rows of 30 nodes, per block
+        monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(123)
+    cases = [dict(), dict(normalized_similarity=False, aux_similarity_min=2.0),
+             dict(aux_samples=0), dict(aux_samples=50, aux_similarity_min=0.2)]
+    for kwargs in cases:
+        cfg = d.DisamConfig(**{"aux_samples": 3, "aux_similarity_min": 0.3, **kwargs})
+        for rep in range(4):
+            # nodes 26..29 are isolated
+            edges = [(u, v) for u in range(26) for v in range(u + 1, 26)
+                     if rng.random() < 0.15]
+            g = d.build_graph(edges, np.zeros((30, 2)), np.zeros(30, dtype=np.int64), 2)
+            emb = rng.normal(size=(30, 3))
+            emb[rng.integers(0, 26)] = 0.0
+            nodes = rng.permutation(30)
+            ours_rng, ref_rng = np.random.default_rng(rep), np.random.default_rng(rep)
+            groups = d.build_contrast_groups(emb, g, nodes, cfg, ours_rng)
+            expected = per_node_contrast_groups(emb, g, nodes, cfg, ref_rng)
+            assert list(groups.pools) == list(expected)
+            for v, (pos, neg, aux) in expected.items():
+                pools = groups.pools[v]
+                assert np.array_equal(pools.pos, pos), f"pos pool of node {v}"
+                assert np.array_equal(pools.neg, neg), f"neg pool of node {v}"
+                assert np.array_equal(pools.aux_pos, aux), f"aux pool of node {v}"
+                assert pools.aux_pos.dtype == np.int64
+            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_disam_config_validation():
     d.DisamConfig().validate()
     bad = [dict(memory_decay=1.2), dict(score_threshold=0.0),

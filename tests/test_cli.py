@@ -8,6 +8,7 @@ outputs are all exercised through the public argv surface.
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -257,6 +258,34 @@ def test_analyze_needs_a_usable_recorded_split_seed(trained, bundle, tmp_path, c
     assert cli.main(argv + ["--split-seed", "0"]) == 0
 
 
+def single_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+def test_train_rejects_splits_without_a_test_key(bundle, tmp_path, capsys):
+    broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
+    with open(os.path.join(broken, "splits.json"), "w") as fh:
+        json.dump({"train": [0, 1, 2], "val": [3, 4, 5]}, fh)
+    capsys.readouterr()
+    assert run_train(broken, tmp_path / "out") == 1
+    line = single_error_line(capsys)
+    assert "splits.json" in line and "'test'" in line
+
+
+def test_analyze_rejects_an_ambiguity_file_with_a_duplicate_row(trained, bundle, tmp_path, capsys):
+    rows = read_bytes(os.path.join(trained, "seed_0", "ambiguity.csv")).decode().splitlines()
+    bad = tmp_path / "ambiguity.csv"
+    bad.write_text("\n".join(rows[:3] + [rows[1]] + rows[4:]) + "\n")  # node 2's row names node 0
+    capsys.readouterr()
+    rc = cli.main(["analyze", "--dataset", bundle,
+                   "--checkpoint", os.path.join(trained, "seed_0", "checkpoint"),
+                   "--ambiguity", str(bad), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "duplicate node_id 0" in single_error_line(capsys)
+
+
 SWEEP_FLAGS = ("--param", "lambda", "--values", "0.5,1.5", "--seeds", "0",
                "--hidden", "8", "--epochs", "12", "--patience", "12",
                "--warmup", "4", "--refresh", "2", "--threshold", "0.5")
@@ -285,6 +314,17 @@ def test_sweep_parallel_jobs_match_serial(bundle, tmp_path):
     assert cli.main(["sweep", "--dataset", bundle, "--out", str(parallel),
                      *SWEEP_FLAGS, "--jobs", "2"]) == 0
     assert read_bytes(str(serial)) == read_bytes(str(parallel))
+
+
+def test_sweep_workers_are_bounded_by_cells_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._sweep_workers(1_000_000, 6) == 4
+    assert cli._sweep_workers(1_000_000, 3) == 3
+    assert cli._sweep_workers(2, 6) == 2
+    assert cli._sweep_workers(0, 6) == 1
+    assert cli._sweep_workers(-3, 6) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._sweep_workers(8, 6) == 1
 
 
 def test_unknown_flags_and_commands_exit_2(tmp_path):

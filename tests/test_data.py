@@ -99,6 +99,25 @@ def test_bundle_error_cases(tmp_path):
         d.load_bundle(path)
 
 
+@pytest.mark.parametrize("blob, key", [
+    ({"train": [0], "val": [1]}, "test"),
+    ({"train": [0], "val": [1], "test": 1}, "test"),
+    ({"train": [0], "val": None, "test": [1]}, "val"),
+    ({"train": ["0"], "val": [], "test": [1]}, "train"),
+    ({"train": [0.0], "val": [], "test": [1]}, "train"),
+    ([[0], [1], []], "train"),
+], ids=["no-test", "scalar-test", "null-val", "string-ids", "float-ids", "not-an-object"])
+def test_bundle_rejects_malformed_splits(tmp_path, blob, key):
+    path = str(tmp_path / "splits")
+    write_minimal_bundle(path)
+    with open(os.path.join(path, "splits.json"), "w") as fh:
+        json.dump(blob, fh)
+    with pytest.raises(ValueError) as exc:
+        d.load_bundle(path)
+    assert str(exc.value).startswith(os.path.join(path, "splits.json"))
+    assert repr(key) in str(exc.value)
+
+
 def cora_path():
     root = os.environ.get("DISAMGNN_DATA", "data")
     return os.path.join(root, "cora")
@@ -421,6 +440,31 @@ def test_ambiguity_csv_round_trip(tmp_path):
     scores, flags = d.data.read_ambiguity_csv(path)
     assert np.array_equal(scores, state.scores)
     assert np.flatnonzero(flags).tolist() == [2, 5, 8]
+
+
+def test_ambiguity_csv_accepts_rows_in_any_order(tmp_path):
+    path = tmp_path / "ambiguity.csv"
+    path.write_text("node_id,score,is_ambiguous\n2,0.5,1\n0,0.25,0\n1,1.0,1\n")
+    scores, flags = d.data.read_ambiguity_csv(str(path))
+    assert scores.tolist() == [0.25, 1.0, 0.5]
+    assert flags.tolist() == [False, True, True]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("node_id,score,is_ambiguous\n0,0.1,0\n2,0.3,1\n", "no row for node_id 1"),
+    ("node_id,score,is_ambiguous\n0,0.1,0\n1,0.2,0\n0,0.9,1\n", "duplicate node_id 0"),
+    ("node_id,score,is_ambiguous\n-1,0.1,0\n0,0.2,0\n", "negative node_id -1"),
+    ("node_id,score\n0,0.1\n", "missing column(s) is_ambiguous"),
+    ("", "missing column(s) is_ambiguous, node_id, score"),
+    ("node_id,score,is_ambiguous\n0,0.1\n", ":2: expected"),
+    ("node_id,score,is_ambiguous\nx,0.1,0\n", ":2: expected"),
+], ids=["gap", "duplicate", "negative", "no-flag-column", "empty", "short-row", "bad-id"])
+def test_ambiguity_csv_rejects_malformed_rows(tmp_path, text, reason):
+    path = tmp_path / "ambiguity.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        d.data.read_ambiguity_csv(str(path))
+    assert str(exc.value).startswith(str(path)) and reason in str(exc.value)
 
 
 def test_group_report_csv_blank_for_nan(tmp_path):

@@ -7,6 +7,7 @@ get recomputed from independently tallied confusion counts.
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import disamgnn as d
 
@@ -133,6 +134,13 @@ def test_macro_auroc_matches_pair_counting_oracle():
             continue
         got = d.macro_auroc(probs, labels, mask)
         assert got == pytest.approx(np.mean(per_class), abs=1e-12)
+
+
+def test_midranks_equal_scipy_average_ranks():
+    rng = np.random.default_rng(19)
+    for x in (rng.random(50), np.round(rng.random(300), 1), np.zeros(7), np.array([2.0])):
+        got = d.metrics._midranks(x)
+        assert np.array_equal(got, scipy.stats.rankdata(x, method="average"))
 
 
 def test_auroc_invariant_under_monotone_transforms():
