@@ -199,16 +199,12 @@ def cmd_analyze(args) -> int:
         rows = group_report(groups, preds, g.labels, scores, mask)
         dataio.write_group_report_csv(rows, os.path.join(args.out, f"{tag}_report.csv"))
         by_strategy[tag] = rows
-    amb_path = os.path.join(args.out, "ambiguity_by_group.csv")
-    with open(amb_path, "w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
-        writer.writerow(["strategy", "group", "count", "mean_ambiguity"])
-        for tag, rows in by_strategy.items():
-            for r in rows:
-                amb = "" if r["mean_ambiguity"] != r["mean_ambiguity"] else repr(r["mean_ambiguity"])
-                writer.writerow([tag, r["group"], r["count"], amb])
+    dataio.write_csv(
+        os.path.join(args.out, "ambiguity_by_group.csv"),
+        ["strategy", "group", "count", "mean_ambiguity"],
+        ([tag, r["group"], r["count"], r["mean_ambiguity"]]
+         for tag, rows in by_strategy.items() for r in rows),
+    )
     print(f"wrote group reports under {args.out}")
     return 0
 
@@ -235,14 +231,8 @@ def _sweep_job(payload: dict) -> dict:
     """Worker for one (value, seed) sweep cell; must stay picklable."""
     ns = argparse.Namespace(**payload["args"])
     setattr(ns, payload["attr"], payload["value"])
-    g, bundle_masks = resolve_dataset(ns.dataset)
-    _params, _state, history, reports = _run_one_seed(ns, g, bundle_masks, payload["seed"])
-    return {
-        "value": payload["value"],
-        "seed": payload["seed"],
-        "best_val_acc": history.best_val_acc,
-        "test": reports["test"],
-    }
+    *_, reports = _run_one_seed(ns, payload["graph"], payload["masks"], payload["seed"])
+    return reports
 
 
 def _sweep_workers(jobs: int, cells: int) -> int:
@@ -263,13 +253,15 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValueError("--values list is empty")
 
+    g, bundle_masks = resolve_dataset(args.dataset)
     base = {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "param", "values", "jobs", "out")
     }
     cells = [
-        {"args": base, "attr": attr, "value": value, "seed": seed}
+        {"args": base, "attr": attr, "value": value, "seed": seed,
+         "graph": g, "masks": bundle_masks}
         for value in values
         for seed in args.seeds
     ]
@@ -281,30 +273,28 @@ def cmd_sweep(args) -> int:
         results = [_sweep_job(cell) for cell in cells]
 
     by_value: dict = {}
-    for res in results:
-        by_value.setdefault(res["value"], []).append(res)
-    import csv as _csv
-
+    for cell, reports in zip(cells, results):
+        by_value.setdefault(cell["value"], []).append(reports)
+    rows = []
+    for value in values:
+        test = _aggregate(by_value[value])["test"]
+        row = [args.param, value, len(by_value[value])]
+        for key in ("acc", "macro_f1", "macro_auroc"):
+            row.extend([test[key]["mean"], test[key]["std"]])
+        rows.append(row)
     directory = os.path.dirname(args.out)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(
-            [
-                "param", "value", "num_seeds",
-                "test_acc_mean", "test_acc_std",
-                "test_macro_f1_mean", "test_macro_f1_std",
-                "test_macro_auroc_mean", "test_macro_auroc_std",
-            ]
-        )
-        for value in values:
-            cells = by_value[value]
-            row = [args.param, value, len(cells)]
-            for key in ("acc", "macro_f1", "macro_auroc"):
-                vals = np.array([c["test"][key] for c in cells])
-                row.extend([repr(float(vals.mean())), repr(float(vals.std()))])
-            writer.writerow(row)
+    dataio.write_csv(
+        args.out,
+        [
+            "param", "value", "num_seeds",
+            "test_acc_mean", "test_acc_std",
+            "test_macro_f1_mean", "test_macro_f1_std",
+            "test_macro_auroc_mean", "test_macro_auroc_std",
+        ],
+        rows,
+    )
     print(f"wrote {args.out} ({len(values)} values x {len(args.seeds)} seeds)")
     return 0
 

@@ -9,6 +9,7 @@ plus a {base}.bin little-endian float64 blob and round-trip bit-exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, SplitMasks, build_graph
-from .models import ModelParams
-from .tensor import Tensor
+from .models import ModelParams, init_model
 
 __all__ = [
     "load_bundle",
@@ -34,6 +34,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_split_seed",
+    "write_csv",
     "write_history_csv",
     "write_ambiguity_csv",
     "read_ambiguity_csv",
@@ -120,11 +121,14 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
                 isinstance(i, int) and not isinstance(i, bool) for i in value
             ):
                 raise ValueError(f"{splits_path}: {key!r} must be a list of integer node ids")
+            outside = [i for i in value if not 0 <= i < g.num_nodes]
+            if outside:
+                raise ValueError(
+                    f"{splits_path}: {key!r} references node {outside[0]} outside the "
+                    f"graph's {g.num_nodes} nodes"
+                )
             ids[key] = np.asarray(value, dtype=np.int64)
         masks = SplitMasks(**ids)
-        for arr in (masks.train, masks.val, masks.test):
-            if arr.size and arr.max() >= g.num_nodes:
-                raise ValueError("splits.json references nodes outside the graph")
     return g, masks
 
 
@@ -447,44 +451,57 @@ def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None 
 
 
 def load_checkpoint(base_path: str) -> ModelParams:
-    """Read a checkpoint pair back into ModelParams, validating the layout."""
-    with open(base_path + ".json") as fh:
+    """Read a checkpoint pair back into ModelParams, validating the layout.
+
+    The entries must name and shape, in order, the parameters that
+    init_model builds from the manifest's architecture fields.
+    """
+    path = base_path + ".json"
+    with open(path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "disamgnn-checkpoint":
-        raise ValueError(f"{base_path}.json is not a checkpoint manifest")
+    if not isinstance(manifest, dict) or manifest.get("format") != "disamgnn-checkpoint":
+        raise ValueError(f"{path} is not a checkpoint manifest")
     if manifest.get("dtype") != _CKPT_DTYPE:
-        raise ValueError(f"unsupported checkpoint dtype {manifest.get('dtype')!r}")
+        raise ValueError(f"{path}: unsupported checkpoint dtype {manifest.get('dtype')!r}")
+
+    def field(key, kind):
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{path}: {key!r} must be of type {kind.__name__}, got {value!r}")
+        return value
+
+    try:
+        params = init_model(
+            field("backbone", str), field("in_dim", int), field("num_classes", int),
+            hidden_dim=field("hidden_dim", int), num_layers=field("num_layers", int),
+            sgc_k=field("sgc_k", int), rng=np.random.default_rng(0),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    entries = field("entries", list)
+    found = [(e.get("name"), e.get("shape")) if isinstance(e, dict) else e for e in entries]
+    layout = [(name, list(t.shape)) for name, t in params.params.items()]
+    for i, (got, want) in enumerate(itertools.zip_longest(found, layout)):
+        if got != want:
+            raise ValueError(
+                f"{path}: entry {i} is {got}, the {params.backbone} layout expects {want}"
+            )
+    total = field("total_bytes", int)
     with open(base_path + ".bin", "rb") as fh:
         blob = fh.read()
-    if len(blob) != manifest["total_bytes"]:
-        raise ValueError(
-            f"checkpoint blob is {len(blob)} bytes, manifest says {manifest['total_bytes']}"
-        )
-    itemsize = np.dtype(_CKPT_DTYPE).itemsize
-    params: dict[str, Tensor] = {}
-    expected_offset = 0
-    for entry in manifest["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        offset = entry["offset"]
-        if offset != expected_offset or offset + count * itemsize > len(blob):
-            raise ValueError(f"corrupt checkpoint entry {entry['name']!r}")
-        arr = np.frombuffer(
-            blob, dtype=_CKPT_DTYPE, count=count, offset=offset
-        ).reshape(shape)
-        params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
-        expected_offset = offset + count * itemsize
-    if expected_offset != len(blob):
+    if len(blob) != total:
+        raise ValueError(f"checkpoint blob is {len(blob)} bytes, manifest says {total}")
+    offset = 0
+    for entry, (name, t) in zip(entries, params.params.items()):
+        if entry.get("offset") != offset or offset + t.values.nbytes > len(blob):
+            raise ValueError(f"corrupt checkpoint entry {name!r}")
+        t.values[...] = np.frombuffer(
+            blob, dtype=_CKPT_DTYPE, count=t.values.size, offset=offset
+        ).reshape(t.shape)
+        offset += t.values.nbytes
+    if offset != len(blob):
         raise ValueError("checkpoint blob has trailing bytes not covered by entries")
-    return ModelParams(
-        backbone=manifest["backbone"],
-        in_dim=manifest["in_dim"],
-        hidden_dim=manifest["hidden_dim"],
-        num_classes=manifest["num_classes"],
-        num_layers=manifest["num_layers"],
-        sgc_k=manifest["sgc_k"],
-        params=params,
-    )
+    return params
 
 
 def checkpoint_split_seed(base_path: str) -> int | None:
@@ -511,33 +528,32 @@ HISTORY_COLUMNS = (
 )
 
 
-def write_history_csv(history, path: str) -> None:
+def _cell(value):
+    """A CSV cell: floats as their repr, NaN as an empty cell, others as is."""
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    return value
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write a header row and data rows, formatting every cell with _cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for r in history.records:
-            writer.writerow(
-                [
-                    r.epoch,
-                    repr(r.loss_ce),
-                    repr(r.loss_contrast),
-                    repr(r.loss_total),
-                    repr(r.train_acc),
-                    repr(r.val_acc),
-                    r.num_ambiguous,
-                    repr(r.mean_ambiguity),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def write_history_csv(history, path: str) -> None:
+    rows = ([getattr(r, col) for col in HISTORY_COLUMNS] for r in history.records)
+    write_csv(path, HISTORY_COLUMNS, rows)
 
 
 def write_ambiguity_csv(state, path: str) -> None:
-    flags = np.zeros(state.scores.shape[0], dtype=bool)
-    flags[state.ambiguous] = True
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "score", "is_ambiguous"])
-        for v in range(state.scores.shape[0]):
-            writer.writerow([v, repr(float(state.scores[v])), int(flags[v])])
+    n = state.scores.shape[0]
+    flags = np.zeros(n, dtype=np.int64)
+    flags[state.ambiguous] = 1
+    rows = zip(range(n), state.scores.tolist(), flags.tolist())
+    write_csv(path, ["node_id", "score", "is_ambiguous"], rows)
 
 
 def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -574,10 +590,5 @@ def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_group_report_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "count", "accuracy", "mean_ambiguity"])
-        for r in rows:
-            acc = "" if math.isnan(r["accuracy"]) else repr(r["accuracy"])
-            amb = "" if math.isnan(r["mean_ambiguity"]) else repr(r["mean_ambiguity"])
-            writer.writerow([r["group"], r["count"], acc, amb])
+    cols = ["group", "count", "accuracy", "mean_ambiguity"]
+    write_csv(path, cols, ([r[c] for c in cols] for r in rows))

@@ -170,8 +170,7 @@ def node_homophily_vector(g: Graph) -> np.ndarray:
     """node_homophily for every node at once (isolated nodes get 1.0)."""
     deg = g.degrees()
     same = (g.labels[g.csr_targets] == np.repeat(g.labels, deg)).astype(np.float64)
-    sums = np.zeros(g.num_nodes)
-    np.add.at(sums, np.repeat(np.arange(g.num_nodes), deg), same)
+    sums = np.bincount(np.repeat(np.arange(g.num_nodes), deg), weights=same, minlength=g.num_nodes)
     out = np.ones(g.num_nodes)
     active = deg > 0
     out[active] = sums[active] / deg[active]

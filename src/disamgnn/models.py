@@ -20,12 +20,14 @@ from .graph import Graph
 from .tensor import (
     SparseMatrix,
     Tensor,
+    _result,
     add,
     concat_cols,
     dropout,
     matmul,
     relu,
     scalar_mul,
+    softmax_rows,
     spmm,
 )
 
@@ -180,12 +182,6 @@ def _cached(cache: dict, key, builder):
     return cache[key]
 
 
-def _softmax(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def forward(
     params: ModelParams,
     g: Graph,
@@ -260,7 +256,7 @@ def forward(
         emb = Tensor(prop)
         h = add(matmul(emb, p["linear.weight"]), p["linear.bias"])
 
-    return ForwardOutput(logits=h, embeddings=emb, class_probs=_softmax(h.values))
+    return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
 
 
 def cross_entropy_loss(output, labels, mask) -> Tensor:
@@ -293,9 +289,4 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
             np.add.at(gx, idx, soft / idx.size)
             logits.accumulate_grad(g[0, 0] * gx)
 
-    out = Tensor(vals)
-    if logits.requires_grad:
-        out.requires_grad = True
-        out._parents = (logits,)
-        out._backward_fn = grad_fn
-    return out
+    return _result(vals, (logits,), grad_fn)

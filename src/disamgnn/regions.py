@@ -82,21 +82,16 @@ def class_size_tiers(labels, num_classes: int) -> np.ndarray:
 def strategy1_groups(g: Graph, homophily_cut: float = 0.5) -> NodeGroups:
     """Class-frequency tier x {Same-class, Minor-class, Others}; 9 groups."""
     tiers = class_size_tiers(g.labels, g.num_classes)
-    node_tier = tiers[g.labels]
     hom = node_homophily_vector(g)
-    ids = np.empty(g.num_nodes, dtype=np.int64)
-    for v in range(g.num_nodes):
-        if hom[v] >= homophily_cut:
-            sub = 0
-        else:
-            nbr_tiers = tiers[g.labels[g.neighbors(v)]]
-            counts = np.bincount(nbr_tiers, minlength=3)
-            # Strict plurality of Minority-tier neighbors; ties go to Others.
-            if counts[TIER_MINORITY] > counts[TIER_MIDDLE] and counts[TIER_MINORITY] > counts[TIER_MAJORITY]:
-                sub = 1
-            else:
-                sub = 2
-        ids[v] = node_tier[v] * 3 + sub
+    arc_src = np.repeat(np.arange(g.num_nodes), g.degrees())
+    arc_tier = tiers[g.labels[g.csr_targets]]
+    counts = np.bincount(arc_src * 3 + arc_tier, minlength=3 * g.num_nodes).reshape(-1, 3)
+    # Strict plurality of Minority-tier neighbors; ties go to Others.
+    minor = (counts[:, TIER_MINORITY] > counts[:, TIER_MIDDLE]) & (
+        counts[:, TIER_MINORITY] > counts[:, TIER_MAJORITY]
+    )
+    sub = np.where(hom >= homophily_cut, 0, np.where(minor, 1, 2))
+    ids = tiers[g.labels] * 3 + sub
     labels = tuple(
         f"{tier}/{sub}" for tier in TIER_NAMES for sub in _SUBGROUP_NAMES
     )
@@ -110,13 +105,11 @@ def strategy2_groups(g: Graph, homophily_cut: float = 0.5) -> NodeGroups:
     minority_class = tiers == TIER_MINORITY
     hom = node_homophily_vector(g)
     deg = g.degrees()
-    ids = np.full(g.num_nodes, -1, dtype=np.int64)
-    for v in range(g.num_nodes):
-        if deg[v] == 0:
-            continue
-        adjacent = bool(minority_class[g.labels[g.neighbors(v)]].any())
-        high = hom[v] >= homophily_cut
-        ids[v] = (0 if adjacent else 2) + (1 if high else 0)
+    arc_src = np.repeat(np.arange(g.num_nodes), deg)
+    minority_arc = minority_class[g.labels[g.csr_targets]]
+    adjacent = np.bincount(arc_src[minority_arc], minlength=g.num_nodes) > 0
+    high = hom >= homophily_cut
+    ids = np.where(deg == 0, -1, np.where(adjacent, 0, 2) + high)
     labels = (
         "AdjMinority/LowHom",
         "AdjMinority/HighHom",

@@ -1,14 +1,16 @@
 """Full-graph training loop with ambiguity tracking and contrast refreshes.
 
-Each epoch: (1) an eval-mode forward feeds the prediction memory and the
-accuracy bookkeeping; (2) on refresh epochs (past warmup, every
-refresh_period) the ambiguity scores, ambiguous set, contrast pools, and
-auxiliary positives are rebuilt from the current embeddings; (3) a
-train-mode forward produces the loss, cross entropy plus the weighted
-contrast term over the pools from the last refresh, followed by one Adam
-step. The contrast term is identically zero before the first refresh, when
-the ambiguous set is empty, or when loss_weight is 0, which makes those
-configurations reproduce plain cross-entropy training bit for bit.
+Each epoch runs one eval-mode forward whose output (1) feeds the
+prediction memory and the accuracy bookkeeping; (2) on refresh epochs
+(past warmup, every refresh_period) rebuilds the ambiguity scores,
+ambiguous set, contrast pools, and auxiliary positives from its
+embeddings; and (3) carries the tape for the loss, cross entropy plus the
+weighted contrast term over the pools from the last refresh, followed by
+one Adam step. With dropout > 0 the loss comes instead from a second,
+train-mode forward that draws the dropout masks. The contrast term is
+identically zero before the first refresh, when the ambiguous set is
+empty, or when loss_weight is 0, which makes those configurations
+reproduce plain cross-entropy training bit for bit.
 
 Randomness is split into independent init/dropout/contrast streams derived
 from the config seed, so identical configs give identical histories.
@@ -138,9 +140,9 @@ def train(
     stale = 0
 
     for epoch in range(cfg.max_epochs):
-        eval_out = forward(params, g, cache=cache)
-        update_memory(state, eval_out.class_probs, dc.memory_decay)
-        preds = eval_out.class_probs.argmax(axis=1)
+        out = forward(params, g, cache=cache)
+        update_memory(state, out.class_probs, dc.memory_decay)
+        preds = out.class_probs.argmax(axis=1)
         train_acc = accuracy(preds, g.labels, masks.train)
         val_acc = accuracy(preds, g.labels, masks.val)
 
@@ -160,19 +162,20 @@ def train(
             state.ambiguous = select_ambiguous(state.scores, dc.score_threshold)
             if dc.loss_weight > 0 and state.ambiguous.size:
                 groups = build_contrast_groups(
-                    eval_out.embeddings.values, g, state.ambiguous, dc, contrast_rng
+                    out.embeddings.values, g, state.ambiguous, dc, contrast_rng
                 )
             else:
                 groups = None
 
-        train_out = forward(
-            params, g, training=True, dropout_rate=cfg.dropout, rng=dropout_rng,
-            cache=cache,
-        )
-        ce = cross_entropy_loss(train_out, g.labels, masks.train)
+        if cfg.dropout > 0:
+            out = forward(
+                params, g, training=True, dropout_rate=cfg.dropout, rng=dropout_rng,
+                cache=cache,
+            )
+        ce = cross_entropy_loss(out, g.labels, masks.train)
         if dc.loss_weight > 0 and groups is not None and len(groups):
             contrast = jsd_contrast_loss(
-                train_out.embeddings, groups, normalized=dc.normalized_similarity
+                out.embeddings, groups, normalized=dc.normalized_similarity
             )
             total = add(ce, scale(contrast, dc.loss_weight))
             contrast_val = contrast.item()

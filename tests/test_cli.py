@@ -235,33 +235,59 @@ def test_analyze_defaults_to_the_checkpoint_split_seed(bundle, tmp_path):
     assert default != analyze("zero", "--split-seed", "0")
 
 
-@pytest.mark.parametrize("recorded", ["missing", None, "1", 1.5])
-def test_analyze_needs_a_usable_recorded_split_seed(trained, bundle, tmp_path, capsys, recorded):
-    base = tmp_path / "checkpoint"
+def edited_checkpoint(trained, base, edit):
+    """Copy seed 0's checkpoint to ``base`` with ``edit`` applied to its manifest."""
     with open(os.path.join(trained, "seed_0", "checkpoint.json")) as fh:
         manifest = json.load(fh)
-    if recorded == "missing":
-        del manifest["split_seed"]
-    else:
-        manifest["split_seed"] = recorded
+    edit(manifest)
     with open(str(base) + ".json", "w") as fh:
         json.dump(manifest, fh)
     with open(str(base) + ".bin", "wb") as fh:
         fh.write(read_bytes(os.path.join(trained, "seed_0", "checkpoint.bin")))
-    argv = ["analyze", "--dataset", bundle, "--checkpoint", str(base),
+
+
+def analyze_argv(trained, bundle, base, out):
+    return ["analyze", "--dataset", bundle, "--checkpoint", str(base),
             "--ambiguity", os.path.join(trained, "seed_0", "ambiguity.csv"),
-            "--out", str(tmp_path / "r")]
-    capsys.readouterr()
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "split_seed" in err[0]
-    assert cli.main(argv + ["--split-seed", "0"]) == 0
+            "--out", str(out)]
 
 
 def single_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     return err[0]
+
+
+@pytest.mark.parametrize("recorded", ["missing", None, "1", 1.5])
+def test_analyze_needs_a_usable_recorded_split_seed(trained, bundle, tmp_path, capsys, recorded):
+    def edit(manifest):
+        if recorded == "missing":
+            del manifest["split_seed"]
+        else:
+            manifest["split_seed"] = recorded
+
+    base = tmp_path / "checkpoint"
+    edited_checkpoint(trained, base, edit)
+    argv = analyze_argv(trained, bundle, base, tmp_path / "r")
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "split_seed" in single_error_line(capsys)
+    assert cli.main(argv + ["--split-seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda m: m["entries"][0].update(name="layerX.weight"), "entry 0 is ('layerX.weight'"),
+    (lambda m: m.pop("entries"), "'entries' must be of type list, got None"),
+    (lambda m: m["entries"][0]["shape"].reverse(), "entry 0 is ('layer0.weight', [8, 3])"),
+    (lambda m: m.update(hidden_dim="8"), "'hidden_dim' must be of type int, got '8'"),
+], ids=["renamed-entry", "no-entries", "transposed-shape", "string-hidden-dim"])
+def test_analyze_rejects_a_checkpoint_off_its_layout(trained, bundle, tmp_path, capsys, edit, reason):
+    base = tmp_path / "checkpoint"
+    edited_checkpoint(trained, base, edit)
+    capsys.readouterr()
+    assert cli.main(analyze_argv(trained, bundle, base, tmp_path / "r")) == 1
+    line = single_error_line(capsys)
+    assert f"{base}.json" in line and reason in line, line
 
 
 def test_train_rejects_splits_without_a_test_key(bundle, tmp_path, capsys):

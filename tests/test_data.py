@@ -106,7 +106,9 @@ def test_bundle_error_cases(tmp_path):
     ({"train": ["0"], "val": [], "test": [1]}, "train"),
     ({"train": [0.0], "val": [], "test": [1]}, "train"),
     ([[0], [1], []], "train"),
-], ids=["no-test", "scalar-test", "null-val", "string-ids", "float-ids", "not-an-object"])
+    ({"train": [0], "val": [], "test": [1, 7]}, "test"),
+], ids=["no-test", "scalar-test", "null-val", "string-ids", "float-ids", "not-an-object",
+        "id-outside-graph"])
 def test_bundle_rejects_malformed_splits(tmp_path, blob, key):
     path = str(tmp_path / "splits")
     write_minimal_bundle(path)

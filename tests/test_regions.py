@@ -21,6 +21,16 @@ def random_graph(rng, n=60, num_classes=3, p=0.08):
     return d.build_graph(edges, rng.normal(size=(n, 3)), labels, num_classes)
 
 
+def tie_and_isolated_graph():
+    # classes 0 and 1 (10 nodes each) are Majority, class 2 (2 nodes) is
+    # Minority. Node 0 has one Minority and one Majority neighbor of other
+    # classes, a tied count; node 1 has two Minority neighbors and one
+    # Majority one; nodes 2-9 and 12-19 are isolated.
+    labels = np.repeat([0, 1, 2], [10, 10, 2])
+    edges = [(0, 20), (0, 10), (1, 20), (1, 21), (1, 11)]
+    return d.build_graph(edges, np.zeros((22, 2)), labels, 3)
+
+
 # ---------------------------------------------------------------------------
 # tiers
 
@@ -74,8 +84,7 @@ def test_strategy1_pure_neighborhood_is_same_class():
 
 def test_strategy1_matches_direct_rules():
     rng = np.random.default_rng(3)
-    for rep in range(8):
-        g = random_graph(rng)
+    for g in [random_graph(rng) for _ in range(8)] + [tie_and_isolated_graph()]:
         cut = 0.5
         groups = d.strategy1_groups(g, homophily_cut=cut)
         tiers = d.class_size_tiers(g.labels, g.num_classes)
@@ -123,8 +132,7 @@ def test_strategy2_quadrants_and_isolated_bucket():
 
 def test_strategy2_matches_direct_rules():
     rng = np.random.default_rng(7)
-    for rep in range(8):
-        g = random_graph(rng, p=0.05)
+    for g in [random_graph(rng, p=0.05) for _ in range(8)] + [tie_and_isolated_graph()]:
         groups = d.strategy2_groups(g)
         tiers = d.class_size_tiers(g.labels, g.num_classes)
         hom = d.node_homophily_vector(g)

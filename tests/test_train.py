@@ -5,10 +5,13 @@ configurations with plain cross-entropy training, per-epoch loss
 bookkeeping, refresh scheduling, early stopping, and divergence detection.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 import disamgnn as d
+from disamgnn import tensor as T
 
 
 def small_graph(seed=0):
@@ -128,6 +131,95 @@ def test_contrast_pairs_compile_once_per_refresh(monkeypatch):
     _, _, hist = run(cfg)
     assert sum(r.loss_contrast > 0 for r in hist.records) == 20
     assert len(compiles) == 2 and all(compiles)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_one_eval_forward_per_epoch_and_a_train_forward_only_for_dropout(monkeypatch, dropout):
+    module = sys.modules["disamgnn.train"]
+    inner = module.forward
+    training_flags = []
+
+    def counting(*args, **kwargs):
+        training_flags.append(kwargs.get("training", False))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, "forward", counting)
+    epochs = 30
+    cfg = d.TrainConfig(max_epochs=epochs, patience=epochs, dropout=dropout, seed=2,
+                        disam=d.DisamConfig(score_threshold=0.2, warmup_epochs=10,
+                                            refresh_period=5))
+    _, _, hist = run(cfg)
+    assert len(hist.records) == epochs
+    assert training_flags.count(False) == epochs + 1
+    assert training_flags.count(True) == (epochs if dropout > 0 else 0)
+
+
+def two_forward_train(cfg, g, masks):
+    """Reference loop whose loss always comes from a second, train-mode
+    forward, with the public trainer's seeding, refresh and snapshot rules."""
+    dc = cfg.disam
+    streams = np.random.SeedSequence(cfg.seed).spawn(3)
+    dropout_rng = np.random.default_rng(streams[1])
+    contrast_rng = np.random.default_rng(streams[2])
+    params = d.init_model(cfg.backbone, g.num_features, g.num_classes,
+                          hidden_dim=cfg.hidden_dim, num_layers=cfg.num_layers,
+                          sgc_k=cfg.sgc_k, rng=np.random.default_rng(streams[0]))
+    opt = d.AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    state = d.AmbiguityState.create(g.num_nodes, g.num_classes)
+    groups = None
+    records = []
+    best_val, best_epoch, best_snapshot = -1.0, -1, params.snapshot()
+    for epoch in range(cfg.max_epochs):
+        eval_out = d.forward(params, g)
+        d.update_memory(state, eval_out.class_probs, dc.memory_decay)
+        preds = eval_out.class_probs.argmax(axis=1)
+        train_acc = d.accuracy(preds, g.labels, masks.train)
+        val_acc = d.accuracy(preds, g.labels, masks.val)
+        if val_acc > best_val:
+            best_val, best_epoch, best_snapshot = val_acc, epoch, params.snapshot()
+        if epoch >= dc.warmup_epochs and epoch % dc.refresh_period == 0:
+            state.scores = d.ambiguity_scores(state.memory)
+            state.ambiguous = d.select_ambiguous(state.scores, dc.score_threshold)
+            groups = None
+            if state.ambiguous.size:
+                groups = d.build_contrast_groups(eval_out.embeddings.values, g,
+                                                 state.ambiguous, dc, contrast_rng)
+        train_out = d.forward(params, g, training=True, dropout_rate=cfg.dropout,
+                              rng=dropout_rng)
+        ce = d.cross_entropy_loss(train_out, g.labels, masks.train)
+        total, contrast_val = ce, 0.0
+        if groups is not None and len(groups):
+            contrast = d.jsd_contrast_loss(train_out.embeddings, groups,
+                                           normalized=dc.normalized_similarity)
+            total = T.add(ce, T.scale(contrast, dc.loss_weight))
+            contrast_val = contrast.item()
+        params.zero_grads()
+        T.backward(total)
+        d.adam_step(opt, params.named_values(), params.named_grads())
+        records.append(d.EpochRecord(epoch, ce.item(), contrast_val, total.item(),
+                                     train_acc, val_acc, int(state.ambiguous.size),
+                                     float(state.scores.mean())))
+    final_out = d.forward(params, g)
+    if d.accuracy(final_out.class_probs.argmax(axis=1), g.labels, masks.val) > best_val:
+        best_epoch, best_snapshot = cfg.max_epochs, params.snapshot()
+    params.restore(best_snapshot)
+    return params, records, best_epoch
+
+
+def test_single_forward_matches_two_forward_loop_bit_for_bit():
+    cfg = d.TrainConfig(max_epochs=60, patience=60, seed=6,
+                        disam=d.DisamConfig(loss_weight=1.0, score_threshold=0.2,
+                                            warmup_epochs=10, refresh_period=5))
+    g = small_graph()
+    masks = small_masks(g)
+    params, _, hist = d.train(cfg, g, masks)
+    ref_params, ref_records, ref_best = two_forward_train(cfg, g, masks)
+    assert any(r.loss_contrast > 0 for r in hist.records)
+    assert hist.records == ref_records
+    assert hist.best_epoch == ref_best
+    for name in params.params:
+        assert np.array_equal(params.params[name].values,
+                              ref_params.params[name].values), name
 
 
 def test_early_stopping_honors_patience():
