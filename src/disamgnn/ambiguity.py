@@ -15,6 +15,7 @@ flowing to both endpoints of every pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,16 +67,20 @@ class DisamConfig:
     normalized_similarity: bool = True
 
     def validate(self) -> None:
-        if not 0.0 <= self.memory_decay <= 1.0:
+        finite = math.isfinite
+        if not (finite(self.memory_decay) and 0.0 <= self.memory_decay <= 1.0):
             raise ValueError("memory_decay must lie in [0, 1]")
-        if not 0.0 < self.score_threshold <= 1.0:
+        if not (finite(self.score_threshold) and 0.0 < self.score_threshold <= 1.0):
             raise ValueError("score_threshold must lie in (0, 1]")
-        if not 0.0 < self.neg_ratio <= self.pos_ratio <= 1.0:
+        if not (finite(self.pos_ratio) and finite(self.neg_ratio)
+                and 0.0 < self.neg_ratio <= self.pos_ratio <= 1.0):
             raise ValueError("need 0 < neg_ratio <= pos_ratio <= 1")
+        if not finite(self.aux_similarity_min):
+            raise ValueError("aux_similarity_min must be finite")
         if self.aux_samples < 0:
             raise ValueError("aux_samples must be >= 0")
-        if self.loss_weight < 0:
-            raise ValueError("loss_weight must be >= 0")
+        if not (finite(self.loss_weight) and self.loss_weight >= 0.0):
+            raise ValueError("loss_weight must be finite and >= 0")
         if self.refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
         if self.warmup_epochs < 0:

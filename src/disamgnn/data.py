@@ -46,6 +46,18 @@ __all__ = [
 # bundles
 
 
+def _read_json_object(path: str) -> dict:
+    """Parse a JSON file whose top level must be an object; errors name the file."""
+    with open(path) as fh:
+        try:
+            blob = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(blob).__name__!r}")
+    return blob
+
+
 def _read_edges(path: str) -> np.ndarray:
     with open(path) as fh:
         content = fh.read().strip()
@@ -97,26 +109,24 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
     num_classes = None
     meta_path = os.path.join(path, "meta.json")
     if os.path.isfile(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+        meta = _read_json_object(meta_path)
         num_classes = meta.get("num_classes")
         for key, actual in (
             ("num_nodes", features.shape[0]),
             ("num_features", features.shape[1]),
         ):
             if key in meta and meta[key] != actual:
-                raise ValueError(f"meta.json {key}={meta[key]} but files say {actual}")
+                raise ValueError(f"{meta_path}: {key}={meta[key]} but files say {actual}")
 
     g = build_graph(edges, features, labels, num_classes=num_classes)
 
     masks = None
     splits_path = os.path.join(path, "splits.json")
     if os.path.isfile(splits_path):
-        with open(splits_path) as fh:
-            blob = json.load(fh)
+        blob = _read_json_object(splits_path)
         ids = {}
         for key in ("train", "val", "test"):
-            value = blob.get(key) if isinstance(blob, dict) else None
+            value = blob.get(key)
             if not isinstance(value, list) or not all(
                 isinstance(i, int) and not isinstance(i, bool) for i in value
             ):
@@ -457,9 +467,8 @@ def load_checkpoint(base_path: str) -> ModelParams:
     init_model builds from the manifest's architecture fields.
     """
     path = base_path + ".json"
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict) or manifest.get("format") != "disamgnn-checkpoint":
+    manifest = _read_json_object(path)
+    if manifest.get("format") != "disamgnn-checkpoint":
         raise ValueError(f"{path} is not a checkpoint manifest")
     if manifest.get("dtype") != _CKPT_DTYPE:
         raise ValueError(f"{path}: unsupported checkpoint dtype {manifest.get('dtype')!r}")
@@ -506,8 +515,7 @@ def load_checkpoint(base_path: str) -> ModelParams:
 
 def checkpoint_split_seed(base_path: str) -> int | None:
     """The split seed recorded in a checkpoint manifest, or None if absent."""
-    with open(base_path + ".json") as fh:
-        seed = json.load(fh).get("split_seed")
+    seed = _read_json_object(base_path + ".json").get("split_seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ValueError(f"{base_path}.json has a non-integer split_seed {seed!r}")
     return seed

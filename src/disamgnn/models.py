@@ -8,6 +8,10 @@ Layer conventions: ReLU between layers, never after the final one. GIN
 blocks are Linear-ReLU-Linear with a learnable per-layer epsilon. SGC is a
 single linear map on k-step propagated features; its embedding is that
 propagated (constant) matrix.
+
+Layer 0 of every backbone aggregates the input features X, which carry no
+gradient and see no dropout, so ``forward``'s cache computes that aggregate
+once: GCN's layer 0 is (ÂX)W₀ + b₀, later layers Â(HW) + b.
 """
 
 from __future__ import annotations
@@ -182,6 +186,25 @@ def _cached(cache: dict, key, builder):
     return cache[key]
 
 
+def _adjacency(cache: dict, g: Graph, adj_key: str) -> SparseMatrix:
+    # looked up per call, so a wrapper set on this module's builders sees them
+    build = {"gcn_adj": gcn_normalized_adjacency, "mean_adj": mean_adjacency,
+             "sum_adj": sum_adjacency}[adj_key]
+    return _cached(cache, adj_key, lambda: build(g))
+
+
+def _propagated(cache: dict, g: Graph, adj_key: str, k: int) -> Tensor:
+    """Constant ``adj^k @ g.features``, computed once per cache."""
+
+    def propagate():
+        mat, out = _adjacency(cache, g, adj_key)._mat, g.features
+        for _ in range(k):
+            out = mat @ out
+        return Tensor(out)
+
+    return _cached(cache, (adj_key, k), propagate)
+
+
 def forward(
     params: ModelParams,
     g: Graph,
@@ -193,9 +216,13 @@ def forward(
 ) -> ForwardOutput:
     """Run the backbone over the whole graph.
 
-    ``cache`` may be shared across calls on the same graph to reuse the
-    propagation matrices. Dropout fires only when ``training`` is true and
-    ``dropout_rate`` > 0, in which case ``rng`` is required.
+    ``cache`` may be shared across calls on the same graph. It holds the
+    propagation matrices and the constant layer-0 aggregate of the input
+    features, so only the first call pays for them: GCN's layer 0 is
+    ``(ÂX)W₀ + b₀``, SAGE's reads ``[X | mean(X)]`` and GIN's ``ΣX`` from
+    it, and SGC's whole input is ``Â^k X``. Dropout fires only when
+    ``training`` is true and ``dropout_rate`` > 0, in which case ``rng`` is
+    required; it acts between layers, never on X.
     """
     if g.num_features != params.in_dim:
         raise ValueError(f"graph has {g.num_features} features, model expects {params.in_dim}")
@@ -214,47 +241,29 @@ def forward(
             h = dropout(h, dropout_rate, rng)
         return h
 
-    h = Tensor(g.features)
-    emb = h
+    if params.backbone == "sgc":
+        emb = _propagated(cache, g, "gcn_adj", params.sgc_k)
+        h = add(matmul(emb, p["linear.weight"]), p["linear.bias"])
+        return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
 
-    if params.backbone == "gcn":
-        adj = _cached(cache, "gcn_adj", lambda: gcn_normalized_adjacency(g))
-        for i in range(n_layers):
-            h = add(spmm(adj, matmul(h, p[f"layer{i}.weight"])), p[f"layer{i}.bias"])
-            if i < n_layers - 1:
-                h = between_layers(h)
-                if i == n_layers - 2:
-                    emb = h
-    elif params.backbone == "sage":
-        adj = _cached(cache, "mean_adj", lambda: mean_adjacency(g))
-        for i in range(n_layers):
-            combined = concat_cols(h, spmm(adj, h))
+    adj_key = {"gcn": "gcn_adj", "sage": "mean_adj", "gin": "sum_adj"}[params.backbone]
+    adj = _adjacency(cache, g, adj_key)
+    h = emb = Tensor(g.features)
+    for i in range(n_layers):
+        ax = _propagated(cache, g, adj_key, 1) if i == 0 else None
+        if params.backbone == "gcn":
+            w = p[f"layer{i}.weight"]
+            h = add(matmul(ax, w) if i == 0 else spmm(adj, matmul(h, w)), p[f"layer{i}.bias"])
+        elif params.backbone == "sage":
+            combined = (_cached(cache, "sage_in", lambda: concat_cols(h, ax)) if i == 0
+                        else concat_cols(h, spmm(adj, h)))
             h = add(matmul(combined, p[f"layer{i}.weight"]), p[f"layer{i}.bias"])
-            if i < n_layers - 1:
-                h = between_layers(h)
-                if i == n_layers - 2:
-                    emb = h
-    elif params.backbone == "gin":
-        adj = _cached(cache, "sum_adj", lambda: sum_adjacency(g))
-        for i in range(n_layers):
-            agg = add(add(h, scalar_mul(p[f"layer{i}.eps"], h)), spmm(adj, h))
+        else:  # gin
+            agg = add(add(h, scalar_mul(p[f"layer{i}.eps"], h)), ax if i == 0 else spmm(adj, h))
             z = relu(add(matmul(agg, p[f"layer{i}.mlp0.weight"]), p[f"layer{i}.mlp0.bias"]))
             h = add(matmul(z, p[f"layer{i}.mlp1.weight"]), p[f"layer{i}.mlp1.bias"])
-            if i < n_layers - 1:
-                h = between_layers(h)
-                if i == n_layers - 2:
-                    emb = h
-    else:  # sgc
-        def propagate():
-            adj = _cached(cache, "gcn_adj", lambda: gcn_normalized_adjacency(g))
-            out = g.features
-            for _ in range(params.sgc_k):
-                out = adj._mat @ out
-            return out
-
-        prop = _cached(cache, ("sgc_prop", params.sgc_k), propagate)
-        emb = Tensor(prop)
-        h = add(matmul(emb, p["linear.weight"]), p["linear.bias"])
+        if i < n_layers - 1:
+            h = emb = between_layers(h)
 
     return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
 

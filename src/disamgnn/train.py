@@ -70,12 +70,12 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
+        if not (math.isfinite(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError("weight_decay must be finite and >= 0")
         self.disam.validate()
 
 

@@ -8,6 +8,7 @@ outputs are all exercised through the public argv surface.
 import csv
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -298,6 +299,50 @@ def test_train_rejects_splits_without_a_test_key(bundle, tmp_path, capsys):
     assert run_train(broken, tmp_path / "out") == 1
     line = single_error_line(capsys)
     assert "splits.json" in line and "'test'" in line
+
+
+@pytest.mark.parametrize("name", ["meta.json", "splits.json"])
+@pytest.mark.parametrize("text", ['{"num_nodes": 75,', "[1]"], ids=["not-json", "a-list"])
+def test_train_names_a_bundle_json_file_it_cannot_parse(bundle, tmp_path, capsys, name, text):
+    broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
+    with open(os.path.join(broken, name), "w") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert run_train(broken, tmp_path / "out") == 1
+    assert single_error_line(capsys).startswith(f"error: {os.path.join(broken, name)}: ")
+
+
+@pytest.mark.parametrize("text", ['{"format": "disamgnn-checkpoint",', "[1]"],
+                         ids=["not-json", "a-list"])
+def test_analyze_names_a_checkpoint_manifest_it_cannot_parse(trained, bundle, tmp_path, capsys, text):
+    base = tmp_path / "checkpoint"
+    edited_checkpoint(trained, base, lambda manifest: None)
+    (tmp_path / "checkpoint.json").write_text(text)
+    capsys.readouterr()
+    assert cli.main(analyze_argv(trained, bundle, base, tmp_path / "r")) == 1
+    assert single_error_line(capsys).startswith(f"error: {base}.json: ")
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lambda", "nan", "loss_weight"),
+    ("--lambda", "inf", "loss_weight"),
+    ("--tau", "nan", "aux_similarity_min"),
+    ("--tau", "inf", "aux_similarity_min"),
+    ("--lr", "nan", "lr"),
+    ("--lr", "inf", "lr"),
+    ("--weight-decay", "nan", "weight_decay"),
+    ("--weight-decay", "inf", "weight_decay"),
+    ("--dropout", "nan", "dropout"),
+    ("--mu", "nan", "memory_decay"),
+    ("--threshold", "nan", "score_threshold"),
+    ("--eps1", "nan", "pos_ratio"),
+    ("--eps2", "nan", "neg_ratio"),
+])
+def test_train_rejects_non_finite_float_flags(bundle, tmp_path, capsys, flag, value, field):
+    capsys.readouterr()
+    assert run_train(bundle, tmp_path / "out", (flag, value)) == 1
+    line = single_error_line(capsys)
+    assert re.search(rf"\b{field}\b", line) and "non-finite loss" not in line, line
 
 
 def test_analyze_rejects_an_ambiguity_file_with_a_duplicate_row(trained, bundle, tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 import scipy.stats
 
 import disamgnn as d
+from disamgnn import data as dataio
 
 
 def toy_graph(n=12, num_classes=2, seed=0):
@@ -105,7 +106,7 @@ def test_bundle_error_cases(tmp_path):
     ({"train": [0], "val": None, "test": [1]}, "val"),
     ({"train": ["0"], "val": [], "test": [1]}, "train"),
     ({"train": [0.0], "val": [], "test": [1]}, "train"),
-    ([[0], [1], []], "train"),
+    ([[0], [1], []], "list"),
     ({"train": [0], "val": [], "test": [1, 7]}, "test"),
 ], ids=["no-test", "scalar-test", "null-val", "string-ids", "float-ids", "not-an-object",
         "id-outside-graph"])
@@ -377,6 +378,19 @@ def test_checkpoint_corrupt_manifest_rejected(tmp_path):
         json.dump(manifest, fh)
     with pytest.raises(ValueError):
         d.load_checkpoint(base)
+
+
+@pytest.mark.parametrize("text", ['{"format": "disamgnn-checkpoint",', "[1]"],
+                         ids=["not-json", "a-list"])
+def test_checkpoint_readers_name_a_manifest_they_cannot_parse(tmp_path, text):
+    base = str(tmp_path / "ckpt")
+    d.save_checkpoint(random_params(), base)
+    with open(base + ".json", "w") as fh:
+        fh.write(text)
+    for read in (dataio.load_checkpoint, dataio.checkpoint_split_seed):
+        with pytest.raises(ValueError) as exc:
+            read(base)
+        assert str(exc.value).startswith(base + ".json: "), read
 
 
 def test_checkpoint_blob_length_and_offsets_cross_checked(tmp_path):

@@ -219,6 +219,92 @@ def test_forward_cache_is_reused():
     assert np.array_equal(out1.logits.values, out2.logits.values)
 
 
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_gcn_aggregate_first_layer_matches_dense_oracle(num_layers):
+    rng = np.random.default_rng(23)
+    g = random_graph(rng, n=15)
+    params = d.init_model("gcn", g.num_features, g.num_classes, hidden_dim=8,
+                          num_layers=num_layers, rng=np.random.default_rng(5))
+    for name, t in params.params.items():
+        if name.endswith("bias"):
+            t.values += rng.normal(scale=0.3, size=t.values.shape)
+    out = d.forward(params, g)
+    assert np.allclose(out.logits.values, gcn_oracle(g, params), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("backbone", d.BACKBONES)
+def test_warm_cache_leaves_one_spmm_per_layer_after_the_first(backbone, num_layers, monkeypatch):
+    rng = np.random.default_rng(31)
+    g = random_graph(rng, n=12)
+    params = d.init_model(backbone, g.num_features, g.num_classes, hidden_dim=6,
+                          num_layers=num_layers, rng=np.random.default_rng(7))
+    cache = {}
+    d.forward(params, g, cache=cache)
+    warm = dict(cache)
+    calls = []
+    spmm = M.spmm
+    monkeypatch.setattr(M, "spmm", lambda s, x: calls.append(s) or spmm(s, x))
+    d.forward(params, g, cache=cache)
+    assert len(calls) == (0 if backbone == "sgc" else num_layers - 1)
+    assert cache.keys() == warm.keys()
+    assert all(cache[k] is warm[k] for k in warm)
+
+
+def test_adjacency_builders_are_looked_up_at_call_time(monkeypatch):
+    # a wrapper set on the module (as a tracer does) must see every build
+    calls = []
+    for name in ("gcn_normalized_adjacency", "mean_adjacency", "sum_adjacency"):
+        build = getattr(M, name)
+        monkeypatch.setattr(M, name, lambda g, build=build, name=name: calls.append(name) or build(g))
+    g = random_graph(np.random.default_rng(43), n=8)
+    for backbone in d.BACKBONES:
+        d.forward(d.init_model(backbone, g.num_features, g.num_classes,
+                               rng=np.random.default_rng(0)), g)
+    assert calls == ["gcn_normalized_adjacency", "mean_adjacency", "sum_adjacency",
+                     "gcn_normalized_adjacency"]
+
+
+@pytest.mark.parametrize("backbone", d.BACKBONES)
+def test_cached_aggregate_is_a_constant_that_backward_leaves_alone(backbone):
+    rng = np.random.default_rng(37)
+    g = random_graph(rng, n=12)
+    params = d.init_model(backbone, g.num_features, g.num_classes, hidden_dim=6,
+                          rng=np.random.default_rng(2))
+    cache = {}
+    out = d.forward(params, g, cache=cache)
+    consts = [t for t in cache.values() if isinstance(t, T.Tensor)]
+    before = [t.values.copy() for t in consts]
+    assert consts
+    T.backward(M.cross_entropy_loss(out, g.labels, np.arange(g.num_nodes)))
+    assert all(t.grad is not None for t in params.params.values())
+    for t, values in zip(consts, before):
+        assert not t.requires_grad and t.grad is None
+        assert np.array_equal(t.values, values)
+
+
+def test_gcn_layer0_weight_gradient_matches_finite_differences():
+    rng = np.random.default_rng(41)
+    g = random_graph(rng, n=10, feat_dim=4)
+    params = d.init_model("gcn", 4, 3, hidden_dim=5, rng=np.random.default_rng(8))
+    w = params.params["layer0.weight"]
+    cache, mask, h = {}, np.arange(g.num_nodes), 1e-5
+
+    def loss():
+        return M.cross_entropy_loss(d.forward(params, g, cache=cache), g.labels, mask)
+
+    T.backward(loss())
+    for idx in np.ndindex(*w.shape):
+        orig = w.values[idx]
+        w.values[idx] = orig + h
+        up = loss().item()
+        w.values[idx] = orig - h
+        dn = loss().item()
+        w.values[idx] = orig
+        fd = (up - dn) / (2 * h)
+        assert abs(w.grad[idx] - fd) / max(abs(w.grad[idx]) + abs(fd), 1e-8) < 1e-4, idx
+
+
 def test_forward_validation_errors():
     g = d.build_graph([(0, 1)], np.zeros((2, 3)), np.array([0, 1]), 2)
     params = d.init_model("gcn", 4, 2, rng=np.random.default_rng(0))

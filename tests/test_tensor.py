@@ -108,6 +108,22 @@ def test_gradient_accumulates_across_branches():
     assert x.grad.tolist() == [[2.0]]
 
 
+def test_first_gradient_is_an_owned_copy():
+    # add hands one g to both parents, concat_cols hands each parent a view
+    a = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    b = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    T.backward(T.sum_all(T.concat_cols(T.add(a, b), b)))
+    assert np.array_equal(a.grad, np.ones((2, 3)))
+    assert np.array_equal(b.grad, 2 * np.ones((2, 3)))
+    a.grad[0, 0] = 7.0
+    assert b.grad[0, 0] == 2.0
+    assert a.grad.flags.c_contiguous and a.grad.flags.owndata
+    g = np.array([[-0.0]])
+    x = T.Tensor(np.array([[1.0]]), requires_grad=True)
+    x.accumulate_grad(g)
+    assert x.grad is not g and np.signbit(x.grad[0, 0])
+
+
 def test_zero_grad_resets_accumulation():
     x = T.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     T.backward(T.sum_all(x))
