@@ -2,9 +2,10 @@
 
 The tensor module is a deliberately small autodiff engine: 2-D float64
 tensors, a fixed vocabulary of ops, and a topological-order backward
-pass. This script chains a representative mix of those ops into a scalar
-readout and confirms the analytic gradients against 64-bit central
-differences, the same oracle the test suite uses.
+pass. This script chains the ops a training step runs (a relu layer, the
+softmax read by the loss, and the fused contrast term over row-normalized
+embeddings) into a scalar and confirms the analytic gradients against
+64-bit central differences, the same oracle the test suite uses.
 """
 
 import numpy as np
@@ -14,33 +15,40 @@ from disamgnn.tensor import (
     add,
     backward,
     matmul,
+    pair_softplus,
     relu,
-    row_dot,
     row_l2_normalize,
     softmax_rows,
-    softplus_elem,
-    sum_all,
+    weighted_sum,
 )
 
+# Contrast pairs as the model's regularizer compiles them: anchors ascending,
+# sign -1 pulls a positive closer, +1 pushes a negative away, and each pair
+# is weighted by one over its pool's size.
+LEFT = [0, 0, 0, 2, 3]
+RIGHT = [1, 4, 3, 0, 1]
+SIGNS = [-1.0, -1.0, 1.0, 1.0, -1.0]
+WEIGHTS = [0.5, 0.5, 1.0, 1.0, 1.0]
 
-def build_loss(tensors):
-    """A scalar mixing matmul, bias add, relu, softmax, and a contrast tail."""
-    x, w1, b1, w2, anchors = tensors
+
+def build_loss(tensors, readout):
+    """A scalar mixing matmul, bias add, relu, softmax, and the contrast tail."""
+    x, w1, b1, w2 = tensors
     h = relu(add(matmul(x, w1), b1))          # (n, hidden), bias broadcast
-    z = row_l2_normalize(matmul(h, w2))       # unit rows
-    p = softmax_rows(matmul(h, w2))
-    sims = row_dot(z, anchors)                # (n, 1) cosine against constants
-    return sum_all(add(softplus_elem(sims), sum_all(p)))
+    out = matmul(h, w2)
+    z = row_l2_normalize(out)                 # unit rows: pair dots are cosines
+    contrast = pair_softplus(z, LEFT, RIGHT, SIGNS, WEIGHTS)
+    return add(contrast, weighted_sum(softmax_rows(out), readout))
 
 
-def central_difference(tensors, param, i, j, h=1e-5):
+def central_difference(tensors, readout, param, i, j, h=1e-5):
     flat = param.values.reshape(-1)
     k = i * param.values.shape[1] + j
     old = flat[k]
     flat[k] = old + h
-    up = build_loss(tensors).item()
+    up = build_loss(tensors, readout).item()
     flat[k] = old - h
-    down = build_loss(tensors).item()
+    down = build_loss(tensors, readout).item()
     flat[k] = old
     return (up - down) / (2.0 * h)
 
@@ -53,14 +61,13 @@ def main() -> None:
     w1 = Tensor(rng.normal(scale=0.7, size=(4, 6)), requires_grad=True)
     b1 = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
     w2 = Tensor(rng.normal(scale=0.7, size=(6, 3)), requires_grad=True)
-    raw = rng.normal(size=(5, 3))
-    anchors = Tensor(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    tensors = [x, w1, b1, w2, anchors]
+    readout = rng.normal(size=(5, 3))  # softmax rows sum to 1: weight them unevenly
+    tensors = [x, w1, b1, w2]
 
     pre = add(matmul(x, w1), b1)
     assert np.min(np.abs(pre.values)) > 1e-3, "relu input too close to its kink"
 
-    loss = build_loss(tensors)
+    loss = build_loss(tensors, readout)
     backward(loss)
     print(f"loss = {loss.item():.6f}")
 
@@ -69,7 +76,7 @@ def main() -> None:
         errs = np.zeros_like(p.values)
         for i in range(p.values.shape[0]):
             for j in range(p.values.shape[1]):
-                fd = central_difference(tensors, p, i, j)
+                fd = central_difference(tensors, readout, p, i, j)
                 an = p.grad[i, j]
                 errs[i, j] = abs(an - fd) / max(abs(an) + abs(fd), 1e-8)
         print(f"  {name}: max relative error vs central differences = {errs.max():.2e}")
@@ -80,7 +87,7 @@ def main() -> None:
 
     # Gradients accumulate across backward passes until cleared.
     g_once = w1.grad.copy()
-    loss2 = build_loss(tensors)
+    loss2 = build_loss(tensors, readout)
     backward(loss2)
     assert np.allclose(w1.grad, 2.0 * g_once)
     w1.zero_grad()

@@ -15,9 +15,7 @@ from .ambiguity import (
     NodePools,
     ambiguity_scores,
     build_contrast_groups,
-    build_groups,
     jsd_contrast_loss,
-    sample_aux_positives,
     select_ambiguous,
     similarity,
     update_memory,
@@ -89,9 +87,7 @@ __all__ = [
     "NodePools",
     "ambiguity_scores",
     "build_contrast_groups",
-    "build_groups",
     "jsd_contrast_loss",
-    "sample_aux_positives",
     "select_ambiguous",
     "similarity",
     "update_memory",

@@ -32,8 +32,6 @@ __all__ = [
     "ambiguity_scores",
     "select_ambiguous",
     "similarity",
-    "build_groups",
-    "sample_aux_positives",
     "build_contrast_groups",
     "jsd_contrast_loss",
 ]
@@ -168,8 +166,6 @@ def _pools_for_node(
     zn: np.ndarray, g: Graph, v: int, pos_ratio: float, neg_ratio: float
 ) -> tuple[np.ndarray, np.ndarray]:
     nbr = g.neighbors(v)
-    if nbr.size == 0:
-        raise ValueError(f"node {v} is isolated; no contrast pools exist")
     sims = zn[nbr] @ zn[v]
     m = sims.max()
     if m > 0:
@@ -180,28 +176,6 @@ def _pools_for_node(
         pos = np.empty(0, dtype=np.int64)
     neg = nbr[sims <= neg_ratio * m]
     return pos.astype(np.int64), neg.astype(np.int64)
-
-
-def build_groups(
-    embeddings,
-    g: Graph,
-    v: int,
-    pos_ratio: float = 0.75,
-    neg_ratio: float = 0.4,
-    *,
-    normalized: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split v's neighbors into positive and negative pools by similarity.
-
-    Pools are fractions of the maximum neighbor similarity m: positives
-    strictly above pos_ratio*m (empty when m <= 0), negatives at or below
-    neg_ratio*m. Raises ValueError for isolated nodes so callers can skip.
-    """
-    if not 0.0 < neg_ratio <= pos_ratio <= 1.0:
-        raise ValueError("need 0 < neg_ratio <= pos_ratio <= 1")
-    emb = np.asarray(embeddings, dtype=np.float64)
-    zn = _normalize_rows(emb) if normalized else emb
-    return _pools_for_node(zn, g, v, pos_ratio, neg_ratio)
 
 
 # Rows per block of the auxiliary scan are capped so that rows * num_nodes stays
@@ -230,30 +204,6 @@ def _sample(cand: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarra
     if cand.size > count:
         cand = rng.choice(cand, size=count, replace=False)
     return np.sort(cand).astype(np.int64)
-
-
-def sample_aux_positives(
-    embeddings,
-    g: Graph,
-    v: int,
-    min_similarity: float = 0.7,
-    count: int = 8,
-    rng: np.random.Generator | None = None,
-    *,
-    normalized: bool = True,
-) -> np.ndarray:
-    """Uniformly sample up to ``count`` similar non-neighbors of v.
-
-    Candidates are nodes other than v and its neighbors whose similarity to
-    v reaches ``min_similarity``. Sampling is without replacement and
-    returns all candidates when fewer than ``count`` exist.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    emb = np.asarray(embeddings, dtype=np.float64)
-    zn = _normalize_rows(emb) if normalized else emb
-    _, cand = next(_aux_candidates(zn, g, np.array([v], dtype=np.int64), min_similarity))
-    return _sample(cand, count, rng)
 
 
 @dataclass(frozen=True)
@@ -315,8 +265,14 @@ def build_contrast_groups(
 ) -> ContrastGroups:
     """Build pools for every node in ``nodes``, skipping isolated ones.
 
-    Auxiliary positives are drawn from ``rng`` one node at a time in the
-    order of ``nodes``, so the same order gives the same draws. Their
+    With m the node's best neighbor similarity, positives are the neighbors
+    strictly above pos_ratio*m (none when m <= 0) and negatives those at or
+    below neg_ratio*m. Auxiliary positives are up to ``aux_samples``
+    non-neighbors (other than the node) at or above ``aux_similarity_min``,
+    sampled uniformly without replacement and returned ascending.
+
+    They are drawn from ``rng`` one node at a time in the order of
+    ``nodes``, so the same order gives the same draws. Their
     similarity scan holds one block of at most max(2**20, num_nodes)
     float64 entries (8 MB at that cap) plus a boolean mask of the same shape.
     """

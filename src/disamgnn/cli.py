@@ -134,6 +134,7 @@ def _run_one_seed(args, g: Graph, bundle_masks: SplitMasks | None, seed: int):
 
 
 def cmd_train(args) -> int:
+    _config_from_args(args, args.seeds[0]).validate()
     g, bundle_masks = resolve_dataset(args.dataset)
     os.makedirs(args.out, exist_ok=True)
     per_seed = []

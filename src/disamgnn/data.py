@@ -104,13 +104,19 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
 
     edges = _read_edges(p("edges.tsv"))
     features = _read_features(p("features.csv"))
-    labels = np.loadtxt(p("labels.csv"), dtype=np.int64, ndmin=1)
+    labels_path = p("labels.csv")
+    try:
+        labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{labels_path}: {exc}") from None
 
     num_classes = None
     meta_path = os.path.join(path, "meta.json")
     if os.path.isfile(meta_path):
         meta = _read_json_object(meta_path)
         num_classes = meta.get("num_classes")
+        if isinstance(num_classes, bool) or not isinstance(num_classes, (int, type(None))):
+            raise ValueError(f"{meta_path}: 'num_classes' must be of type int, got {num_classes!r}")
         for key, actual in (
             ("num_nodes", features.shape[0]),
             ("num_features", features.shape[1]),

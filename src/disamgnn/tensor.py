@@ -6,9 +6,9 @@ op appends a node to the implicit computation graph held by parent links.
 accumulates gradients additively into every tensor that requires them.
 
 The op set is deliberately closed: matmul, spmm, add, relu, scale,
-scalar_mul, row_l2_normalize, softmax_rows, concat_cols, gather_rows,
-row_dot, softplus_elem, weighted_sum, pair_softplus, sum_all, dropout. Each
-one has a finite-difference test.
+scalar_mul, row_l2_normalize, softmax_rows, concat_cols, weighted_sum,
+pair_softplus, dropout. Each one has a finite-difference test;
+weighted_sum is the scalar readout those tests differentiate through.
 """
 
 from __future__ import annotations
@@ -32,13 +32,9 @@ __all__ = [
     "row_l2_normalize",
     "softmax_rows",
     "concat_cols",
-    "gather_rows",
-    "row_dot",
     "softplus",
-    "softplus_elem",
     "weighted_sum",
     "pair_softplus",
-    "sum_all",
     "dropout",
 ]
 
@@ -309,39 +305,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _result(vals, (a, b), grad_fn)
 
 
-def gather_rows(x: Tensor, idx) -> Tensor:
-    """Select rows x[idx]; duplicate indices accumulate gradient additively."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("gather_rows takes a 1-D index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError("gather_rows index out of range")
-    vals = x.values[idx]
-
-    def grad_fn(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.values)
-            np.add.at(gx, idx, g)
-            x.accumulate_grad(gx)
-
-    return _result(vals, (x,), grad_fn)
-
-
-def row_dot(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row inner product, returned as an (n, 1) column."""
-    if a.shape != b.shape:
-        raise ValueError(f"row_dot shape mismatch {a.shape} vs {b.shape}")
-    vals = (a.values * b.values).sum(axis=1, keepdims=True)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.values)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.values)
-
-    return _result(vals, (a, b), grad_fn)
-
-
 def softplus(x: float) -> float:
     """Overflow-safe log(1 + exp(x)) for python scalars."""
     x = float(x)
@@ -355,17 +318,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def softplus_elem(x: Tensor) -> Tensor:
-    """Elementwise overflow-safe softplus."""
-    vals = np.maximum(x.values, 0.0) + np.log1p(np.exp(-np.abs(x.values)))
-
-    def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * _sigmoid(x.values))
-
-    return _result(vals, (x,), grad_fn)
 
 
 def weighted_sum(x: Tensor, w) -> Tensor:
@@ -420,17 +372,6 @@ def pair_softplus(x: Tensor, left, right, signs, weights) -> Tensor:
             coef = g[0, 0] * weights * signs * _sigmoid(z)
             c = _sp.csr_array((coef, right, offsets), shape=(n, n))
             x.accumulate_grad(c @ x.values + c.T @ x.values)
-
-    return _result(vals, (x,), grad_fn)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Scalar sum of all entries."""
-    vals = np.array([[x.values.sum()]])
-
-    def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.values, g[0, 0]))
 
     return _result(vals, (x,), grad_fn)
 

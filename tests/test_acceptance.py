@@ -125,22 +125,9 @@ def op_sweep_worst():
     a, b = t((3, 2)), t((3, 3))
     worst = max(worst, reduce_fd(lambda: T.concat_cols(a, b), a, b))
 
-    x = t((5, 3))
-    idx = np.array([0, 2, 2, 4])
-    worst = max(worst, reduce_fd(lambda: T.gather_rows(x, idx), x))
-
-    a, b = t((4, 3)), t((4, 3))
-    worst = max(worst, reduce_fd(lambda: T.row_dot(a, b), a, b))
-
-    x = t((3, 4))
-    worst = max(worst, reduce_fd(lambda: T.softplus_elem(x), x))
-
     x = t((3, 4))
     w = rng.normal(size=(3, 4))
     worst = max(worst, fd_max_rel_err(lambda: T.weighted_sum(x, w), [x]))
-
-    x = t((3, 4))
-    worst = max(worst, fd_max_rel_err(lambda: T.sum_all(x), [x]))
 
     # dropout: a freshly seeded generator per call freezes the mask, so the
     # finite differences see the same subnetwork the tape differentiated
@@ -159,6 +146,26 @@ def op_sweep_worst():
     worst = max(worst, fd_max_rel_err(
         lambda: T.pair_softplus(x, left, right, signs, pw), [x]))
     return worst
+
+
+# The two types, the tape walk and the scalar helper are not tape ops.
+SWEEP_EXEMPT = {"Tensor", "SparseMatrix", "backward", "softplus"}
+
+
+def test_op_sweep_calls_every_tape_op(monkeypatch):
+    called = set()
+
+    def counting(name, op):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return op(*args, **kwargs)
+        return wrapper
+
+    ops = set(T.__all__) - SWEEP_EXEMPT
+    for name in ops:
+        monkeypatch.setattr(T, name, counting(name, getattr(T, name)))
+    op_sweep_worst()
+    assert called == ops, f"ops without a finite-difference check: {sorted(ops - called)}"
 
 
 def joint_loss_fixture():

@@ -301,8 +301,15 @@ def test_train_rejects_splits_without_a_test_key(bundle, tmp_path, capsys):
     assert "splits.json" in line and "'test'" in line
 
 
-@pytest.mark.parametrize("name", ["meta.json", "splits.json"])
-@pytest.mark.parametrize("text", ['{"num_nodes": 75,', "[1]"], ids=["not-json", "a-list"])
+@pytest.mark.parametrize("text, name", [
+    pytest.param('{"num_nodes": 75,', "meta.json", id="not-json-meta.json"),
+    pytest.param('{"num_nodes": 75,', "splits.json", id="not-json-splits.json"),
+    pytest.param("[1]", "meta.json", id="a-list-meta.json"),
+    pytest.param("[1]", "splits.json", id="a-list-splits.json"),
+    pytest.param('{"num_classes": "3"}', "meta.json", id="string-num-classes-meta.json"),
+    pytest.param('{"num_classes": 3.0}', "meta.json", id="float-num-classes-meta.json"),
+    pytest.param('{"num_classes": true}', "meta.json", id="bool-num-classes-meta.json"),
+])
 def test_train_names_a_bundle_json_file_it_cannot_parse(bundle, tmp_path, capsys, name, text):
     broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
     with open(os.path.join(broken, name), "w") as fh:
@@ -343,6 +350,19 @@ def test_train_rejects_non_finite_float_flags(bundle, tmp_path, capsys, flag, va
     assert run_train(bundle, tmp_path / "out", (flag, value)) == 1
     line = single_error_line(capsys)
     assert re.search(rf"\b{field}\b", line) and "non-finite loss" not in line, line
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_names_a_labels_file_it_cannot_parse(bundle, tmp_path, capsys):
+    broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
+    labels = os.path.join(broken, "labels.csv")
+    rows = read_bytes(labels).decode().splitlines()
+    with open(labels, "w") as fh:
+        fh.write("\n".join(rows[:2] + ["x"] + rows[3:]) + "\n")
+    capsys.readouterr()
+    assert run_train(broken, tmp_path / "out") == 1
+    line = single_error_line(capsys)
+    assert line.startswith(f"error: {labels}: ") and "'x'" in line and "row" in line, line
 
 
 def test_analyze_rejects_an_ambiguity_file_with_a_duplicate_row(trained, bundle, tmp_path, capsys):

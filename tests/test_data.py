@@ -99,6 +99,16 @@ def test_bundle_error_cases(tmp_path):
     with pytest.raises(ValueError):
         d.load_bundle(path)
 
+    for value in ("2", 2.0, True):
+        path = str(tmp_path / f"num-classes-{value!r}")
+        write_minimal_bundle(path)
+        with open(os.path.join(path, "meta.json"), "w") as fh:
+            json.dump({"num_classes": value}, fh)
+        with pytest.raises(ValueError) as exc:
+            d.load_bundle(path)
+        assert str(exc.value).startswith(os.path.join(path, "meta.json"))
+        assert "num_classes" in str(exc.value)
+
 
 @pytest.mark.parametrize("blob, key", [
     ({"train": [0], "val": [1]}, "test"),

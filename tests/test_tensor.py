@@ -49,6 +49,11 @@ def rand_weights(rng, shape):
     return rng.normal(size=shape)
 
 
+def total(x):
+    """Scalar sum of all entries: the unit-weight readout."""
+    return T.weighted_sum(x, np.ones(x.shape))
+
+
 # ---------------------------------------------------------------------------
 # frozen scalar values
 
@@ -65,33 +70,25 @@ def test_softplus_shift_identity():
         assert T.softplus(x) - T.softplus(-x) == pytest.approx(x, abs=1e-12)
 
 
-def test_softplus_elem_matches_scalar():
-    rng = np.random.default_rng(1)
-    x = rng.normal(scale=5, size=(4, 3))
-    out = T.softplus_elem(T.Tensor(x))
-    expect = np.vectorize(T.softplus)(x)
-    assert np.allclose(out.values, expect, atol=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # backward basics
 
 
 def test_backward_sum_gives_ones():
     x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    T.backward(T.sum_all(x))
+    T.backward(total(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_relu_gradient_at_reference_points():
     x = T.Tensor(np.array([[-1.0, 2.0]]), requires_grad=True)
-    T.backward(T.sum_all(T.relu(x)))
+    T.backward(total(T.relu(x)))
     assert x.grad.tolist() == [[0.0, 1.0]]
 
 
 def test_relu_subgradient_at_zero_is_zero():
     x = T.Tensor(np.array([[0.0]]), requires_grad=True)
-    T.backward(T.sum_all(T.relu(x)))
+    T.backward(total(T.relu(x)))
     assert x.grad.tolist() == [[0.0]]
 
 
@@ -104,7 +101,7 @@ def test_backward_rejects_non_scalar():
 def test_gradient_accumulates_across_branches():
     x = T.Tensor(np.array([[3.0]]), requires_grad=True)
     y = T.add(x, x)  # dy/dx = 2
-    T.backward(T.sum_all(y))
+    T.backward(total(y))
     assert x.grad.tolist() == [[2.0]]
 
 
@@ -112,7 +109,7 @@ def test_first_gradient_is_an_owned_copy():
     # add hands one g to both parents, concat_cols hands each parent a view
     a = T.Tensor(np.ones((2, 3)), requires_grad=True)
     b = T.Tensor(np.ones((2, 3)), requires_grad=True)
-    T.backward(T.sum_all(T.concat_cols(T.add(a, b), b)))
+    T.backward(total(T.concat_cols(T.add(a, b), b)))
     assert np.array_equal(a.grad, np.ones((2, 3)))
     assert np.array_equal(b.grad, 2 * np.ones((2, 3)))
     a.grad[0, 0] = 7.0
@@ -126,11 +123,11 @@ def test_first_gradient_is_an_owned_copy():
 
 def test_zero_grad_resets_accumulation():
     x = T.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    T.backward(T.sum_all(x))
-    T.backward(T.sum_all(x))
+    T.backward(total(x))
+    T.backward(total(x))
     assert np.array_equal(x.grad, 2 * np.ones((1, 2)))
     x.zero_grad()
-    T.backward(T.sum_all(x))
+    T.backward(total(x))
     assert np.array_equal(x.grad, np.ones((1, 2)))
 
 
@@ -204,35 +201,12 @@ def test_fd_concat_cols():
     fd_check(lambda: T.weighted_sum(T.concat_cols(a, b), w), [a, b])
 
 
-def test_fd_gather_rows_with_duplicates():
-    rng = np.random.default_rng(18)
-    x = param(rng, 5, 3)
-    idx = np.array([0, 2, 2, 4, 0])
-    w = rand_weights(rng, (5, 3))
-    fd_check(lambda: T.weighted_sum(T.gather_rows(x, idx), w), [x])
-
-
-def test_fd_row_dot():
-    rng = np.random.default_rng(19)
-    a = param(rng, 4, 3)
-    b = param(rng, 4, 3)
-    w = rand_weights(rng, (4, 1))
-    fd_check(lambda: T.weighted_sum(T.row_dot(a, b), w), [a, b])
-
-
-def test_fd_softplus_elem():
-    rng = np.random.default_rng(20)
-    x = param(rng, 4, 4)
-    w = rand_weights(rng, (4, 4))
-    fd_check(lambda: T.weighted_sum(T.softplus_elem(x), w), [x])
-
-
 def test_fd_weighted_sum_and_sum_all():
     rng = np.random.default_rng(21)
     x = param(rng, 3, 4)
     w = rand_weights(rng, (3, 4))
     fd_check(lambda: T.weighted_sum(x, w), [x])
-    fd_check(lambda: T.sum_all(x), [x])
+    fd_check(lambda: total(x), [x])
 
 
 def test_fd_pair_softplus():
@@ -337,15 +311,8 @@ def test_row_l2_normalize_unit_or_zero_rows():
     assert norms[0] == pytest.approx(1.0, abs=1e-12)
     assert norms[1] == 0.0
     assert norms[2] == pytest.approx(1.0, abs=1e-12)
-    T.backward(T.sum_all(out))
+    T.backward(total(out))
     assert np.array_equal(t.grad[1], np.zeros(2))
-
-
-def test_gather_rows_accumulates_duplicate_indices():
-    x = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = T.gather_rows(x, np.array([1, 1, 2]))
-    T.backward(T.sum_all(out))
-    assert x.grad.tolist() == [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +337,6 @@ def test_op_shape_errors():
         T.add(a, T.Tensor(np.zeros((3, 3))))
     with pytest.raises(ValueError):
         T.concat_cols(a, T.Tensor(np.zeros((3, 1))))
-    with pytest.raises(ValueError):
-        T.row_dot(a, T.Tensor(np.zeros((2, 2))))
-    with pytest.raises(IndexError):
-        T.gather_rows(a, np.array([2]))
     with pytest.raises(ValueError):
         T.weighted_sum(a, np.zeros((3, 2)))
     with pytest.raises(ValueError):
