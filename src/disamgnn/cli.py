@@ -19,9 +19,10 @@ import numpy as np
 from . import data as dataio
 from .graph import Graph, SplitMasks
 from .ambiguity import DisamConfig
+from .metrics import metrics_report
 from .models import BACKBONES, forward
 from .regions import group_report, strategy1_groups, strategy2_groups
-from .train import TrainConfig, TrainingDiverged, evaluate, train
+from .train import TrainConfig, TrainingDiverged, train
 
 __all__ = ["main", "build_parser"]
 
@@ -126,8 +127,9 @@ def _run_one_seed(args, g: Graph, bundle_masks: SplitMasks | None, seed: int):
     cfg = _config_from_args(args, seed)
     masks = _split_for_seed(g, bundle_masks, seed)
     params, state, history = train(cfg, g, masks)
+    probs = forward(params, g).class_probs
     reports = {
-        which: evaluate(params, g, masks, which).to_dict()
+        which: metrics_report(probs, g.labels, masks.mask(which), g.num_classes).to_dict()
         for which in ("train", "val", "test")
     }
     return params, state, history, reports

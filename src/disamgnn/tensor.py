@@ -220,9 +220,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken as 0."""
+    """max(x, 0), with -0.0 -> +0.0 and NaN kept; the subgradient at exactly 0 is 0."""
     mask = x.values > 0
-    vals = np.where(mask, x.values, 0.0)
+    vals = np.maximum(x.values, 0.0)
 
     def grad_fn(g):
         if x.requires_grad:

@@ -362,7 +362,7 @@ def test_train_names_a_labels_file_it_cannot_parse(bundle, tmp_path, capsys):
     capsys.readouterr()
     assert run_train(broken, tmp_path / "out") == 1
     line = single_error_line(capsys)
-    assert line.startswith(f"error: {labels}: ") and "'x'" in line and "row" in line, line
+    assert line.startswith(f"error: {labels}:3: ") and "'x'" in line, line
 
 
 def test_analyze_rejects_an_ambiguity_file_with_a_duplicate_row(trained, bundle, tmp_path, capsys):
@@ -375,6 +375,44 @@ def test_analyze_rejects_an_ambiguity_file_with_a_duplicate_row(trained, bundle,
                    "--ambiguity", str(bad), "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "duplicate node_id 0" in single_error_line(capsys)
+
+
+BEYOND_INT64 = "99999999999999999999"
+
+
+def test_train_names_an_edge_id_beyond_int64(bundle, tmp_path, capsys):
+    broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
+    edges = os.path.join(broken, "edges.tsv")
+    rows = read_bytes(edges).decode().splitlines()
+    with open(edges, "w") as fh:
+        fh.write("\n".join(rows[:4] + [f"0\t{BEYOND_INT64}"] + rows[4:]) + "\n")
+    capsys.readouterr()
+    assert run_train(broken, tmp_path / "out") == 1
+    assert single_error_line(capsys) == f"error: {edges}:5: expected two integer columns"
+
+
+def test_analyze_names_a_node_id_beyond_int64(trained, bundle, tmp_path, capsys):
+    rows = read_bytes(os.path.join(trained, "seed_0", "ambiguity.csv")).decode().splitlines()
+    bad = tmp_path / "ambiguity.csv"
+    bad.write_text("\n".join(rows[:3] + [f"{BEYOND_INT64},0.5,1"] + rows[4:]) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["analyze", "--dataset", bundle,
+                   "--checkpoint", os.path.join(trained, "seed_0", "checkpoint"),
+                   "--ambiguity", str(bad), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert single_error_line(capsys).startswith(f"error: {bad}:4: expected an integer node_id")
+
+
+def test_train_reports_every_split_from_one_forward(bundle, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return d.forward(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "forward", counted)
+    assert run_train(bundle, tmp_path / "out") == 0
+    assert len(calls) == 1
 
 
 SWEEP_FLAGS = ("--param", "lambda", "--values", "0.5,1.5", "--seeds", "0",

@@ -92,6 +92,19 @@ def test_relu_subgradient_at_zero_is_zero():
     assert x.grad.tolist() == [[0.0]]
 
 
+def test_relu_forward_maps_negative_zero_to_zero_and_keeps_nan():
+    out = T.relu(T.Tensor(np.array([[-0.0, np.nan, -1.0, 2.0]]))).values
+    assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
+    assert np.isnan(out[0, 1])
+    assert out[0, 2:].tolist() == [0.0, 2.0]
+    # On finite input the values are bit-equal to the masked select.
+    x = np.random.default_rng(5).normal(size=(40, 7))
+    x[::3, ::2] = -0.0
+    x[1::5, 1::3] = 0.0
+    got = T.relu(T.Tensor(x)).values
+    assert got.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+
+
 def test_backward_rejects_non_scalar():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
