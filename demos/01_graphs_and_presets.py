@@ -65,7 +65,7 @@ def main() -> None:
         print()
 
     # ------------------------------------------------------------------
-    # 3. Splits are stratified by default: 5% train / 10% val / 85% test,
+    # 3. Splits are stratified: 5% train / 10% val / 85% test,
     #    with at least one training node per class.
     # ------------------------------------------------------------------
     graph = sbm_generate(get_preset("ambiguity"))

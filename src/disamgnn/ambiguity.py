@@ -50,7 +50,6 @@ class DisamConfig:
     loss_weight         multiplier on the contrast term in the objective
     refresh_period      epochs between ambiguous-set/pool refreshes
     warmup_epochs       first epoch at which a refresh may happen
-    normalized_similarity  cosine similarity when true, raw dot when false
     """
 
     memory_decay: float = 0.5
@@ -62,7 +61,6 @@ class DisamConfig:
     loss_weight: float = 1.0
     refresh_period: int = 10
     warmup_epochs: int = 50
-    normalized_similarity: bool = True
 
     def validate(self) -> None:
         finite = math.isfinite
@@ -276,8 +274,7 @@ def build_contrast_groups(
     similarity scan holds one block of at most max(2**20, num_nodes)
     float64 entries (8 MB at that cap) plus a boolean mask of the same shape.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    zn = _normalize_rows(emb) if cfg.normalized_similarity else emb
+    zn = _normalize_rows(np.asarray(embeddings, dtype=np.float64))
     nodes = np.asarray(nodes, dtype=np.int64)
     nodes = nodes[g.degrees()[nodes] > 0]
     groups = ContrastGroups()
@@ -287,10 +284,8 @@ def build_contrast_groups(
     return groups
 
 
-def jsd_contrast_loss(
-    embeddings: Tensor, groups: ContrastGroups, *, normalized: bool = True
-) -> Tensor:
-    """Sum over selected nodes of softplus contrast on pair similarities.
+def jsd_contrast_loss(embeddings: Tensor, groups: ContrastGroups) -> Tensor:
+    """Sum over selected nodes of softplus contrast on pair cosine similarities.
 
     Per node: mean over pooled positives (neighbor positives plus auxiliary
     ones) of softplus(-sim) plus mean over negatives of softplus(sim).
@@ -299,5 +294,4 @@ def jsd_contrast_loss(
     left, right, signs, weights = groups.pairs()
     if not left.size:
         return Tensor(np.zeros((1, 1)))
-    zn = row_l2_normalize(embeddings) if normalized else embeddings
-    return pair_softplus(zn, left, right, signs, weights)
+    return pair_softplus(row_l2_normalize(embeddings), left, right, signs, weights)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import os
 import sys
@@ -39,56 +40,47 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+# Hyperparameter flags per argument group, in --help order: flag -> the field
+# it sets. Each flag's default is the field's default and its type is that
+# default's type (int for sgc_k, whose default is None).
+_TRAIN_FLAGS = {
+    "backbone": "backbone", "hidden": "hidden_dim", "layers": "num_layers", "sgc-k": "sgc_k",
+    "dropout": "dropout", "lr": "lr", "weight-decay": "weight_decay", "epochs": "max_epochs",
+    "patience": "patience",
+}
+_DISAM_FLAGS = {
+    "lambda": "loss_weight", "mu": "memory_decay", "threshold": "score_threshold",
+    "eps1": "pos_ratio", "eps2": "neg_ratio", "tau": "aux_similarity_min",
+    "k-aux": "aux_samples", "refresh": "refresh_period", "warmup": "warmup_epochs",
+}
+_GROUPS = (
+    ("model and training", TrainConfig(), _TRAIN_FLAGS),
+    ("ambiguity and contrast", DisamConfig(), _DISAM_FLAGS),
+)
+
+
 def _hyper_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    g = p.add_argument_group("model and training")
-    g.add_argument("--backbone", choices=list(BACKBONES), default="gcn")
-    g.add_argument("--hidden", dest="hidden_dim", type=int, default=64)
-    g.add_argument("--layers", dest="num_layers", type=int, default=2)
-    g.add_argument("--sgc-k", dest="sgc_k", type=int, default=None)
-    g.add_argument("--dropout", type=float, default=0.0)
-    g.add_argument("--lr", type=float, default=1e-3)
-    g.add_argument("--weight-decay", dest="weight_decay", type=float, default=5e-4)
-    g.add_argument("--epochs", dest="max_epochs", type=int, default=8000)
-    g.add_argument("--patience", type=int, default=200)
-    d = p.add_argument_group("ambiguity and contrast")
-    d.add_argument("--lambda", dest="loss_weight", type=float, default=1.0)
-    d.add_argument("--mu", dest="memory_decay", type=float, default=0.5)
-    d.add_argument("--threshold", dest="score_threshold", type=float, default=0.8)
-    d.add_argument("--eps1", dest="pos_ratio", type=float, default=0.75)
-    d.add_argument("--eps2", dest="neg_ratio", type=float, default=0.4)
-    d.add_argument("--tau", dest="aux_similarity_min", type=float, default=0.7)
-    d.add_argument("--k-aux", dest="aux_samples", type=int, default=8)
-    d.add_argument("--refresh", dest="refresh_period", type=int, default=10)
-    d.add_argument("--warmup", dest="warmup_epochs", type=int, default=50)
+    for title, defaults, flags in _GROUPS:
+        group = p.add_argument_group(title)
+        for flag, attr in flags.items():
+            default = getattr(defaults, attr)
+            group.add_argument(
+                f"--{flag}", dest=attr, default=default,
+                type=int if default is None else type(default),
+                choices=list(BACKBONES) if attr == "backbone" else None,
+            )
     return p
 
 
-def _config_from_args(args, seed: int) -> TrainConfig:
-    disam = DisamConfig(
-        memory_decay=args.memory_decay,
-        score_threshold=args.score_threshold,
-        pos_ratio=args.pos_ratio,
-        neg_ratio=args.neg_ratio,
-        aux_similarity_min=args.aux_similarity_min,
-        aux_samples=args.aux_samples,
-        loss_weight=args.loss_weight,
-        refresh_period=args.refresh_period,
-        warmup_epochs=args.warmup_epochs,
-    )
-    return TrainConfig(
-        backbone=args.backbone,
-        hidden_dim=args.hidden_dim,
-        num_layers=args.num_layers,
-        sgc_k=args.sgc_k,
-        dropout=args.dropout,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        seed=seed,
-        disam=disam,
-    )
+def _config_from_args(args, seed: int, **override) -> TrainConfig:
+    """The validated config that ``args``, with fields replaced by ``override``, select."""
+    values = {**vars(args), **override}
+    train_kw = {attr: values[attr] for attr in _TRAIN_FLAGS.values()}
+    disam_kw = {attr: values[attr] for attr in _DISAM_FLAGS.values()}
+    cfg = TrainConfig(**train_kw, seed=seed, disam=DisamConfig(**disam_kw))
+    cfg.validate()
+    return cfg
 
 
 def resolve_dataset(name: str) -> tuple[Graph, SplitMasks | None]:
@@ -123,9 +115,8 @@ def _aggregate(per_seed: list[dict]) -> dict:
     return out
 
 
-def _run_one_seed(args, g: Graph, bundle_masks: SplitMasks | None, seed: int):
-    cfg = _config_from_args(args, seed)
-    masks = _split_for_seed(g, bundle_masks, seed)
+def _run_one_seed(cfg: TrainConfig, g: Graph, bundle_masks: SplitMasks | None):
+    masks = _split_for_seed(g, bundle_masks, cfg.seed)
     params, state, history = train(cfg, g, masks)
     probs = forward(params, g).class_probs
     reports = {
@@ -136,20 +127,20 @@ def _run_one_seed(args, g: Graph, bundle_masks: SplitMasks | None, seed: int):
 
 
 def cmd_train(args) -> int:
-    _config_from_args(args, args.seeds[0]).validate()
+    configs = [_config_from_args(args, seed) for seed in args.seeds]
     g, bundle_masks = resolve_dataset(args.dataset)
     os.makedirs(args.out, exist_ok=True)
     per_seed = []
-    for seed in args.seeds:
-        params, state, history, reports = _run_one_seed(args, g, bundle_masks, seed)
-        seed_dir = os.path.join(args.out, f"seed_{seed}")
+    for cfg in configs:
+        params, state, history, reports = _run_one_seed(cfg, g, bundle_masks)
+        seed_dir = os.path.join(args.out, f"seed_{cfg.seed}")
         os.makedirs(seed_dir, exist_ok=True)
         dataio.write_history_csv(history, os.path.join(seed_dir, "history.csv"))
         dataio.write_ambiguity_csv(state, os.path.join(seed_dir, "ambiguity.csv"))
-        dataio.save_checkpoint(params, os.path.join(seed_dir, "checkpoint"), split_seed=seed)
+        dataio.save_checkpoint(params, os.path.join(seed_dir, "checkpoint"), split_seed=cfg.seed)
         per_seed.append(reports)
         print(
-            f"seed {seed}: best val acc {history.best_val_acc:.4f} "
+            f"seed {cfg.seed}: best val acc {history.best_val_acc:.4f} "
             f"(epoch {history.best_epoch}), test acc {reports['test']['acc']:.4f}"
         )
     summary = {
@@ -212,30 +203,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# Flags `sweep --param` accepts -> the field each sets.
 _SWEEPABLE = {
-    "lambda": ("loss_weight", float),
-    "threshold": ("score_threshold", float),
-    "mu": ("memory_decay", float),
-    "eps1": ("pos_ratio", float),
-    "eps2": ("neg_ratio", float),
-    "tau": ("aux_similarity_min", float),
-    "k-aux": ("aux_samples", int),
-    "refresh": ("refresh_period", int),
-    "warmup": ("warmup_epochs", int),
-    "lr": ("lr", float),
-    "weight-decay": ("weight_decay", float),
-    "hidden": ("hidden_dim", int),
-    "layers": ("num_layers", int),
-    "dropout": ("dropout", float),
+    flag: attr for flag, attr in {**_TRAIN_FLAGS, **_DISAM_FLAGS}.items()
+    if flag not in ("backbone", "sgc-k", "epochs", "patience")
 }
 
 
-def _sweep_job(payload: dict) -> dict:
+def _sweep_job(cfg: TrainConfig, g: Graph, bundle_masks: SplitMasks | None) -> dict:
     """Worker for one (value, seed) sweep cell; must stay picklable."""
-    ns = argparse.Namespace(**payload["args"])
-    setattr(ns, payload["attr"], payload["value"])
-    *_, reports = _run_one_seed(ns, payload["graph"], payload["masks"], payload["seed"])
-    return reports
+    return _run_one_seed(cfg, g, bundle_masks)[-1]
 
 
 def _sweep_workers(jobs: int, cells: int) -> int:
@@ -248,7 +225,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"cannot sweep {args.param!r}; choose from {sorted(_SWEEPABLE)}"
         )
-    attr, cast = _SWEEPABLE[args.param]
+    attr = _SWEEPABLE[args.param]
+    cast = type(getattr(args, attr))  # the field's type, as the flag parsed it
     try:
         values = [cast(tok) for tok in args.values.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -256,28 +234,24 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValueError("--values list is empty")
 
-    g, bundle_masks = resolve_dataset(args.dataset)
-    base = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "param", "values", "jobs", "out")
-    }
     cells = [
-        {"args": base, "attr": attr, "value": value, "seed": seed,
-         "graph": g, "masks": bundle_masks}
+        (value, _config_from_args(args, seed, **{attr: value}))
         for value in values
         for seed in args.seeds
     ]
+    g, bundle_masks = resolve_dataset(args.dataset)
+    jobs = (_sweep_job, [cfg for _, cfg in cells], itertools.repeat(g),
+            itertools.repeat(bundle_masks))
     workers = _sweep_workers(args.jobs, len(cells))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, cells))
+            results = list(pool.map(*jobs))
     else:
-        results = [_sweep_job(cell) for cell in cells]
+        results = list(map(*jobs))
 
     by_value: dict = {}
-    for cell, reports in zip(cells, results):
-        by_value.setdefault(cell["value"], []).append(reports)
+    for (value, _), reports in zip(cells, results):
+        by_value.setdefault(value, []).append(reports)
     rows = []
     for value in values:
         test = _aggregate(by_value[value])["test"]

@@ -8,6 +8,7 @@ plus a {base}.bin little-endian float64 blob and round-trip bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -58,6 +59,15 @@ def _read_json_object(path: str) -> dict:
     return blob
 
 
+@contextlib.contextmanager
+def _utf8_errors(path: str):
+    """Re-raise a UnicodeDecodeError in the block as a ValueError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 _INT_BYTES = b"0123456789+- \t\r\n"
 _FLOAT_BYTES = _INT_BYTES + b".eE,"
 
@@ -95,7 +105,8 @@ def _parse_table(path: str, loop, chars: bytes, row_shape=None, skiprows: int = 
             lines = body.count(b"\n") + (not body.endswith(b"\n"))
             if len(table) == lines and row_shape in (None, table.shape[1:]):
                 return table
-    return loop()
+    with _utf8_errors(path):
+        return loop()
 
 
 def _int64(text: str) -> int:
@@ -284,15 +295,14 @@ def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
 def make_split(
     g: Graph,
     ratios: tuple[float, float, float] = (0.5, 1.0, 8.5),
-    stratified: bool = True,
     rng: np.random.Generator | None = None,
 ) -> SplitMasks:
     """Deterministic train/val/test node split with the given proportions.
 
-    Ratios are normalized, so (0.5, 1, 8.5) yields 5%/10%/85%. A stratified
-    split allocates per class by largest remainder and guarantees at least
-    one train node for every class. All three parts must come out non-empty
-    and every class must have at least one member.
+    Ratios are normalized, so (0.5, 1, 8.5) yields 5%/10%/85%. The split is
+    stratified: it allocates per class by largest remainder and guarantees
+    at least one train node for every class. All three parts must come out
+    non-empty and every class must have at least one member.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -311,13 +321,6 @@ def make_split(
     if (class_counts == 0).any():
         empty = np.flatnonzero(class_counts == 0).tolist()
         raise ValueError(f"classes without members cannot be stratified: {empty}")
-
-    if not stratified:
-        perm = rng.permutation(n)
-        return SplitMasks(
-            train=perm[:n_train], val=perm[n_train : n_train + n_val],
-            test=perm[n_train + n_val :],
-        )
 
     train_alloc = _largest_remainder(fracs[0] * class_counts, n_train)
     # Every class contributes at least one train node; borrow from the
@@ -651,7 +654,7 @@ def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     The rows must hold each node id 0..n-1 exactly once, in any order.
     Columns may come in any order, next to other columns.
     """
-    with open(path, newline="") as fh:
+    with _utf8_errors(path), open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or ()
         header_lines = reader.line_num

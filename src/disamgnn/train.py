@@ -59,17 +59,22 @@ class TrainConfig:
     weight_decay: float = 5e-4
     max_epochs: int = 8000
     patience: int = 200
-    eval_every: int = 1
     seed: int = 0
     disam: DisamConfig = field(default_factory=DisamConfig)
 
     def validate(self) -> None:
+        if self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1")
+        if self.num_layers < 1:
+            raise ValueError("num_layers must be >= 1")
+        if self.sgc_k is not None and self.sgc_k < 0:
+            raise ValueError("sgc_k must be None or >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
@@ -146,16 +151,15 @@ def train(
         train_acc = accuracy(preds, g.labels, masks.train)
         val_acc = accuracy(preds, g.labels, masks.val)
 
-        if epoch % cfg.eval_every == 0:
-            if val_acc > best_val:
-                best_val = val_acc
-                best_epoch = epoch
-                best_snapshot = params.snapshot()
-                stale = 0
-            else:
-                stale += 1
-            if stale >= cfg.patience:
-                break
+        if val_acc > best_val:
+            best_val = val_acc
+            best_epoch = epoch
+            best_snapshot = params.snapshot()
+            stale = 0
+        else:
+            stale += 1
+        if stale >= cfg.patience:
+            break
 
         if epoch >= dc.warmup_epochs and epoch % dc.refresh_period == 0:
             state.scores = ambiguity_scores(state.memory)
@@ -174,9 +178,7 @@ def train(
             )
         ce = cross_entropy_loss(out, g.labels, masks.train)
         if dc.loss_weight > 0 and groups is not None and len(groups):
-            contrast = jsd_contrast_loss(
-                out.embeddings, groups, normalized=dc.normalized_similarity
-            )
+            contrast = jsd_contrast_loss(out.embeddings, groups)
             total = add(ce, scale(contrast, dc.loss_weight))
             contrast_val = contrast.item()
         else:

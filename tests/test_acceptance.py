@@ -201,7 +201,7 @@ def test_criterion_1_gradients_match_finite_differences(criterion):
     def make_loss():
         out = forward(params, g)
         ce = cross_entropy_loss(out, g.labels, train_idx)
-        cs = jsd_contrast_loss(out.embeddings, groups, normalized=True)
+        cs = jsd_contrast_loss(out.embeddings, groups)
         return T.add(ce, T.scale(cs, 1.0))
 
     worst_joint = fd_max_rel_err(make_loss, list(params.params.values()))
@@ -385,16 +385,15 @@ def plain_ce_train(cfg, g, masks):
         preds = eval_out.class_probs.argmax(axis=1)
         train_acc = accuracy(preds, g.labels, masks.train)
         val_acc = accuracy(preds, g.labels, masks.val)
-        if epoch % cfg.eval_every == 0:
-            if val_acc > best_val:
-                best_val = val_acc
-                best_epoch = epoch
-                best_snapshot = params.snapshot()
-                stale = 0
-            else:
-                stale += 1
-            if stale >= cfg.patience:
-                break
+        if val_acc > best_val:
+            best_val = val_acc
+            best_epoch = epoch
+            best_snapshot = params.snapshot()
+            stale = 0
+        else:
+            stale += 1
+        if stale >= cfg.patience:
+            break
         train_out = forward(params, g, training=True, dropout_rate=cfg.dropout,
                             rng=dropout_rng, cache=cache)
         ce = cross_entropy_loss(train_out, g.labels, masks.train)

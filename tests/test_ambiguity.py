@@ -394,11 +394,11 @@ def test_loss_matches_per_pair_oracle():
         assert loss.item() == pytest.approx(expected, abs=1e-10)
 
 
-def composed_contrast_loss(emb, groups, normalized):
+def composed_contrast_loss(emb, groups):
     """The contrast loss and its gradient, composed in closed form in numpy.
 
     Forward: sum over pairs of w * softplus(s * <z_l, z_r>), with z the
-    row-L2-normalized embeddings (zero rows stay zero) or the raw ones.
+    row-L2-normalized embeddings (zero rows stay zero).
     Backward: each pair sends w * s * sigmoid(s * sim) times the other
     endpoint's row to both endpoints, then the row normalization's Jacobian
     (I - z z^T) / |x| maps that back onto the raw rows.
@@ -417,15 +417,13 @@ def composed_contrast_loss(emb, groups, normalized):
     signs, weights = np.array(signs), np.array(weights)
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
-    z = emb / safe if normalized else emb
+    z = emb / safe
     signed = signs * np.einsum("ij,ij->i", z[left], z[right])
     loss = np.sum(weights * np.logaddexp(0.0, signed))
     coef = (weights * signs / (1.0 + np.exp(-signed)))[:, None]
     grad_z = np.zeros_like(emb)
     np.add.at(grad_z, left, coef * z[right])
     np.add.at(grad_z, right, coef * z[left])
-    if not normalized:
-        return loss, grad_z
     radial = np.sum(grad_z * z, axis=1, keepdims=True)
     return loss, np.where(norms > 0, (grad_z - z * radial) / safe, 0.0)
 
@@ -440,13 +438,12 @@ def test_fused_loss_matches_composed_ops():
         nodes = rng.choice(30, size=12, replace=False)
         groups = d.build_contrast_groups(emb, g, nodes, cfg, np.random.default_rng(rep))
         assert len(groups.pairs()[0]) > 0
-        for normalized in (True, False):
-            x = T.Tensor(emb.copy(), requires_grad=True)
-            fused = d.jsd_contrast_loss(x, groups, normalized=normalized)
-            T.backward(fused)
-            loss, grad = composed_contrast_loss(emb, groups, normalized)
-            assert abs(fused.item() - loss) < 1e-12
-            assert np.max(np.abs(x.grad - grad)) < 1e-10
+        x = T.Tensor(emb.copy(), requires_grad=True)
+        fused = d.jsd_contrast_loss(x, groups)
+        T.backward(fused)
+        loss, grad = composed_contrast_loss(emb, groups)
+        assert abs(fused.item() - loss) < 1e-12
+        assert np.max(np.abs(x.grad - grad)) < 1e-10
 
 
 def test_pairs_follow_anchor_then_pool_order():
@@ -526,7 +523,7 @@ def test_build_contrast_groups_invariants():
 
 def per_node_contrast_groups(emb, g, nodes, cfg, rng):
     """The pool builder as a per-node loop with a full similarity scan each."""
-    zn = d.ambiguity._normalize_rows(emb) if cfg.normalized_similarity else emb
+    zn = d.ambiguity._normalize_rows(emb)
     pools = {}
     for v in np.asarray(nodes, dtype=np.int64).tolist():
         if g.neighbors(v).size == 0:
@@ -547,7 +544,7 @@ def test_blocked_builder_matches_per_node_oracle(monkeypatch, block_elems):
     if block_elems is not None:  # 1 row, or 3 rows of 30 nodes, per block
         monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", block_elems)
     rng = np.random.default_rng(123)
-    cases = [dict(), dict(normalized_similarity=False, aux_similarity_min=2.0),
+    cases = [dict(), dict(aux_similarity_min=1.5),  # no auxiliary candidates
              dict(aux_samples=0), dict(aux_samples=50, aux_similarity_min=0.2)]
     for kwargs in cases:
         cfg = d.DisamConfig(**{"aux_samples": 3, "aux_similarity_min": 0.3, **kwargs})

@@ -309,11 +309,14 @@ def test_train_rejects_splits_without_a_test_key(bundle, tmp_path, capsys):
     pytest.param('{"num_classes": "3"}', "meta.json", id="string-num-classes-meta.json"),
     pytest.param('{"num_classes": 3.0}', "meta.json", id="float-num-classes-meta.json"),
     pytest.param('{"num_classes": true}', "meta.json", id="bool-num-classes-meta.json"),
+    pytest.param(b"0\t1\n\xff\t2\n", "edges.tsv", id="not-utf8-edges.tsv"),
+    pytest.param(b"1.0,\xff\n", "features.csv", id="not-utf8-features.csv"),
+    pytest.param(b"0\n\xff\n", "labels.csv", id="not-utf8-labels.csv"),
 ])
 def test_train_names_a_bundle_json_file_it_cannot_parse(bundle, tmp_path, capsys, name, text):
     broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
-    with open(os.path.join(broken, name), "w") as fh:
-        fh.write(text)
+    with open(os.path.join(broken, name), "wb") as fh:
+        fh.write(text if isinstance(text, bytes) else text.encode())
     capsys.readouterr()
     assert run_train(broken, tmp_path / "out") == 1
     assert single_error_line(capsys).startswith(f"error: {os.path.join(broken, name)}: ")
@@ -344,6 +347,12 @@ def test_analyze_names_a_checkpoint_manifest_it_cannot_parse(trained, bundle, tm
     ("--threshold", "nan", "score_threshold"),
     ("--eps1", "nan", "pos_ratio"),
     ("--eps2", "nan", "neg_ratio"),
+    # integers out of range, checked for every seed before the dataset loads
+    ("--hidden", "-4", "hidden_dim"),
+    ("--hidden", "0", "hidden_dim"),
+    ("--layers", "0", "num_layers"),
+    ("--sgc-k", "-1", "sgc_k"),
+    ("--seeds", "0,-1", "seed"),
 ])
 def test_train_rejects_non_finite_float_flags(bundle, tmp_path, capsys, flag, value, field):
     capsys.readouterr()
@@ -433,6 +442,31 @@ def test_sweep_emits_one_row_per_value(bundle, tmp_path):
     for r in rows:
         for cell in r[3:]:
             assert 0.0 <= float(cell) <= 1.0
+
+
+def test_sweep_casts_values_to_the_field_type(bundle, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--dataset", bundle, "--out", str(out), *SWEEP_FLAGS, "--param", "k-aux"]
+    assert cli.main([*argv, "--values", "2,4"]) == 0
+    _, rows = read_csv(str(out))
+    assert [r[:2] for r in rows] == [["k-aux", "2"], ["k-aux", "4"]]
+    out.unlink()
+    capsys.readouterr()
+    assert cli.main([*argv, "--values", "2.5"]) == 1
+    assert "--values" in single_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, field", [
+    (("--param", "hidden", "--values", "8,0"), "hidden_dim"),
+    (("--seeds", "0,-1"), "seed"),
+], ids=["zero-hidden-cell", "negative-seed"])
+def test_sweep_checks_every_cell_before_training(bundle, tmp_path, capsys, extra, field):
+    out = tmp_path / "sweeps" / "sweep.csv"
+    capsys.readouterr()
+    assert cli.main(["sweep", "--dataset", bundle, "--out", str(out), *SWEEP_FLAGS, *extra]) == 1
+    assert re.search(rf"\b{field}\b", single_error_line(capsys))
+    assert not out.parent.exists()
 
 
 def test_sweep_parallel_jobs_match_serial(bundle, tmp_path):

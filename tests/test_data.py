@@ -212,14 +212,6 @@ def test_split_deterministic_under_seed():
     assert not np.array_equal(a.train, c.train)
 
 
-def test_unstratified_split_sizes_and_cover():
-    g = toy_graph(n=100)
-    masks = d.make_split(g, stratified=False, rng=np.random.default_rng(9))
-    assert (masks.train.size, masks.val.size, masks.test.size) == (5, 10, 85)
-    union = np.union1d(np.union1d(masks.train, masks.val), masks.test)
-    assert union.size == 100
-
-
 # ---------------------------------------------------------------------------
 # stochastic block model
 
@@ -484,10 +476,15 @@ def test_ambiguity_csv_accepts_rows_in_any_order(tmp_path):
     ("", "missing column(s) is_ambiguous, node_id, score"),
     ("node_id,score,is_ambiguous\n0,0.1\n", ":2: expected"),
     ("node_id,score,is_ambiguous\nx,0.1,0\n", ":2: expected"),
-], ids=["gap", "duplicate", "negative", "no-flag-column", "empty", "short-row", "bad-id"])
+    (b"node_id,score,is_ambiguous\n0,0.1,\xff\n", "not UTF-8 text"),
+    # past the first 8 KB, which the header read decodes
+    (b"node_id,score,is_ambiguous\n" + b"".join(b"%d,0.5,0\n" % i for i in range(2000))
+     + b"2000,0.5,\xff\n", "not UTF-8 text"),
+], ids=["gap", "duplicate", "negative", "no-flag-column", "empty", "short-row", "bad-id",
+        "not-utf8", "not-utf8-after-8k"])
 def test_ambiguity_csv_rejects_malformed_rows(tmp_path, text, reason):
     path = tmp_path / "ambiguity.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError) as exc:
         d.data.read_ambiguity_csv(str(path))
     assert str(exc.value).startswith(str(path)) and reason in str(exc.value)
