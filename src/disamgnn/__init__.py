@@ -68,7 +68,7 @@ from .regions import (
     strategy1_groups,
     strategy2_groups,
 )
-from .tensor import SparseMatrix, Tensor, backward, softplus
+from .tensor import Tensor, backward, softplus
 from .train import (
     EpochRecord,
     TrainConfig,
@@ -130,7 +130,6 @@ __all__ = [
     "group_report",
     "strategy1_groups",
     "strategy2_groups",
-    "SparseMatrix",
     "Tensor",
     "backward",
     "softplus",

@@ -155,11 +155,6 @@ def similarity(z_u, z_v) -> float:
     return float(u @ v / (nu * nv))
 
 
-def _normalize_rows(emb: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    return emb / np.where(norms > 0, norms, 1.0)
-
-
 def _pools_for_node(
     zn: np.ndarray, g: Graph, v: int, pos_ratio: float, neg_ratio: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +269,7 @@ def build_contrast_groups(
     similarity scan holds one block of at most max(2**20, num_nodes)
     float64 entries (8 MB at that cap) plus a boolean mask of the same shape.
     """
-    zn = _normalize_rows(np.asarray(embeddings, dtype=np.float64))
+    zn = row_l2_normalize(Tensor(embeddings)).values
     nodes = np.asarray(nodes, dtype=np.int64)
     nodes = nodes[g.degrees()[nodes] > 0]
     groups = ContrastGroups()

@@ -37,6 +37,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from exc
     if not seeds:
         raise argparse.ArgumentTypeError("seed list is empty")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"seed list {text!r} repeats a seed")
     return seeds
 
 
@@ -168,6 +170,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.split_seed is not None and args.split_seed < 0:
+        raise ValueError(f"--split-seed must be >= 0, got {args.split_seed}")
     g, bundle_masks = resolve_dataset(args.dataset)
     params = dataio.load_checkpoint(args.checkpoint)
     scores, _flags = dataio.read_ambiguity_csv(args.ambiguity)
@@ -233,6 +237,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"bad --values list {args.values!r}") from exc
     if not values:
         raise ValueError("--values list is empty")
+    if len(set(values)) != len(values):
+        raise ValueError(f"--values list {args.values!r} repeats a value")
 
     cells = [
         (value, _config_from_args(args, seed, **{attr: value}))

@@ -597,8 +597,8 @@ def load_checkpoint(base_path: str) -> ModelParams:
 def checkpoint_split_seed(base_path: str) -> int | None:
     """The split seed recorded in a checkpoint manifest, or None if absent."""
     seed = _read_json_object(base_path + ".json").get("split_seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ValueError(f"{base_path}.json has a non-integer split_seed {seed!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise ValueError(f"{base_path}.json has a split_seed {seed!r} that is not an integer >= 0")
     return seed
 
 

@@ -83,14 +83,14 @@ class SplitMasks:
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
-            arr = _sorted_unique(np.asarray(getattr(self, name), dtype=np.int64).ravel())
-            raw = np.asarray(getattr(self, name))
+            raw = np.asarray(getattr(self, name), dtype=np.int64).ravel()
+            arr = _sorted_unique(raw)
             if arr.size != raw.size:
                 raise ValueError(f"{name} mask contains duplicate node indices")
             if arr.size and arr.min() < 0:
                 raise ValueError(f"{name} mask contains negative node indices")
             object.__setattr__(self, name, _frozen(arr))
-        n_union = np.union1d(np.union1d(self.train, self.val), self.test).size
+        n_union = _sorted_unique(np.concatenate((self.train, self.val, self.test))).size
         if n_union != self.train.size + self.val.size + self.test.size:
             raise ValueError("split masks overlap")
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph
 from .tensor import (
-    SparseMatrix,
     Tensor,
     _result,
     add,
@@ -148,36 +148,31 @@ def init_model(
     )
 
 
-def gcn_normalized_adjacency(g: Graph) -> SparseMatrix:
+def gcn_normalized_adjacency(g: Graph) -> sp.csr_array:
     """Symmetric renormalized adjacency D^-1/2 (A + I) D^-1/2."""
-    import scipy.sparse as sp
-
     n = g.num_nodes
     adj = sp.csr_array(
         (np.ones(g.csr_targets.shape[0]), g.csr_targets, g.csr_offsets), shape=(n, n)
     )
     adj = adj + sp.identity(n, format="csr")
     dinv = 1.0 / np.sqrt(g.degrees() + 1.0)
-    scaled = sp.diags_array(dinv) @ adj @ sp.diags_array(dinv)
-    return SparseMatrix.from_scipy(scaled)
+    return sp.diags_array(dinv) @ adj @ sp.diags_array(dinv)
 
 
-def mean_adjacency(g: Graph) -> SparseMatrix:
+def mean_adjacency(g: Graph) -> sp.csr_array:
     """Row-normalized adjacency D^-1 A; zero-degree rows stay all zero."""
     deg = g.degrees().astype(np.float64)
     inv = np.zeros_like(deg)
     nz = deg > 0
     inv[nz] = 1.0 / deg[nz]
     values = np.repeat(inv, g.degrees())
-    return SparseMatrix(g.csr_offsets.copy(), g.csr_targets.copy(), values,
-                        (g.num_nodes, g.num_nodes))
+    return sp.csr_array((values, g.csr_targets, g.csr_offsets), shape=(g.num_nodes,) * 2)
 
 
-def sum_adjacency(g: Graph) -> SparseMatrix:
+def sum_adjacency(g: Graph) -> sp.csr_array:
     """Plain 0/1 adjacency (no self-loops)."""
     values = np.ones(g.csr_targets.shape[0])
-    return SparseMatrix(g.csr_offsets.copy(), g.csr_targets.copy(), values,
-                        (g.num_nodes, g.num_nodes))
+    return sp.csr_array((values, g.csr_targets, g.csr_offsets), shape=(g.num_nodes,) * 2)
 
 
 def _cached(cache: dict, key, builder):
@@ -186,7 +181,7 @@ def _cached(cache: dict, key, builder):
     return cache[key]
 
 
-def _adjacency(cache: dict, g: Graph, adj_key: str) -> SparseMatrix:
+def _adjacency(cache: dict, g: Graph, adj_key: str) -> sp.csr_array:
     # looked up per call, so a wrapper set on this module's builders sees them
     build = {"gcn_adj": gcn_normalized_adjacency, "mean_adj": mean_adjacency,
              "sum_adj": sum_adjacency}[adj_key]
@@ -197,7 +192,7 @@ def _propagated(cache: dict, g: Graph, adj_key: str, k: int) -> Tensor:
     """Constant ``adj^k @ g.features``, computed once per cache."""
 
     def propagate():
-        mat, out = _adjacency(cache, g, adj_key)._mat, g.features
+        mat, out = _adjacency(cache, g, adj_key), g.features
         for _ in range(k):
             out = mat @ out
         return Tensor(out)

@@ -12,14 +12,14 @@ import numpy as np
 
 __all__ = ["AdamState", "adam_step"]
 
+# Adam's fixed hyperparameters: the moment decay rates and the denominator floor.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float = 1e-3
     weight_decay: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -33,8 +33,8 @@ def adam_step(
     """Apply one in-place Adam update to every named parameter array."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         if name not in grads:
             raise KeyError(f"missing gradient for parameter {name!r}")
@@ -47,9 +47,9 @@ def adam_step(
             g = g + state.weight_decay * p
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params

@@ -9,19 +9,16 @@ The op set is deliberately closed: matmul, spmm, add, relu, scale,
 scalar_mul, row_l2_normalize, softmax_rows, concat_cols, weighted_sum,
 pair_softplus, dropout. Each one has a finite-difference test;
 weighted_sum is the scalar readout those tests differentiate through.
+``spmm(s, x)`` takes ``s`` as a scipy sparse array, a constant of the tape.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as _sp
 
 __all__ = [
     "Tensor",
-    "SparseMatrix",
     "backward",
     "matmul",
     "spmm",
@@ -121,53 +118,6 @@ def backward(loss: Tensor) -> None:
             node._backward_fn(node.grad)
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """CSR sparse matrix (offsets, column indices, values) with fixed shape."""
-
-    offsets: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    shape: tuple[int, int]
-
-    def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        rows, cols = self.shape
-        if offsets.shape != (rows + 1,):
-            raise ValueError("offsets must have length rows+1")
-        if offsets[0] != 0 or offsets[-1] != indices.size or np.any(np.diff(offsets) < 0):
-            raise ValueError("offsets must be monotone from 0 to nnz")
-        if values.shape != indices.shape:
-            raise ValueError("values and indices must align")
-        if indices.size and (indices.min() < 0 or indices.max() >= cols):
-            raise ValueError("column index out of range")
-        if not np.isfinite(values).all():
-            raise ValueError("sparse values must be finite")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
-
-    @cached_property
-    def _mat(self):
-        return _sp.csr_array((self.values, self.indices, self.offsets), shape=self.shape)
-
-    @cached_property
-    def _mat_t(self):
-        return self._mat.T.tocsr()
-
-    @classmethod
-    def from_scipy(cls, mat) -> "SparseMatrix":
-        csr = _sp.csr_array(mat)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(csr.indptr.copy(), csr.indices.copy(), csr.data.copy(), csr.shape)
-
-    def to_dense(self) -> np.ndarray:
-        return self._mat.toarray()
-
-
 # ---------------------------------------------------------------------------
 # ops
 
@@ -187,15 +137,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(vals, (a, b), grad_fn)
 
 
-def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
-    """Sparse-dense product s @ x; gradient flows to x only."""
+def spmm(s: _sp.sparray, x: Tensor) -> Tensor:
+    """Sparse-dense product s @ x for a scipy sparse array s; gradient flows to x only."""
     if s.shape[1] != x.shape[0]:
         raise ValueError(f"spmm shape mismatch {s.shape} @ {x.shape}")
-    vals = s._mat @ x.values
+    vals = s @ x.values
 
     def grad_fn(g):
         if x.requires_grad:
-            x.accumulate_grad(s._mat_t @ g)
+            x.accumulate_grad(s.T @ g)
 
     return _result(vals, (x,), grad_fn)
 

@@ -523,7 +523,7 @@ def test_build_contrast_groups_invariants():
 
 def per_node_contrast_groups(emb, g, nodes, cfg, rng):
     """The pool builder as a per-node loop with a full similarity scan each."""
-    zn = d.ambiguity._normalize_rows(emb)
+    zn = T.row_l2_normalize(T.Tensor(emb)).values
     pools = {}
     for v in np.asarray(nodes, dtype=np.int64).tolist():
         if g.neighbors(v).size == 0:

@@ -66,7 +66,7 @@ def test_seed_list_parsing():
     assert cli._parse_seeds("0,1,2") == [0, 1, 2]
     assert cli._parse_seeds("5") == [5]
     parser = cli.build_parser()
-    for bad in ("", "a,b"):
+    for bad in ("", "a,b", "0,1,0"):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["train", "--dataset", "x", "--out", "y",
                                "--seeds", bad])
@@ -259,7 +259,7 @@ def single_error_line(capsys):
     return err[0]
 
 
-@pytest.mark.parametrize("recorded", ["missing", None, "1", 1.5])
+@pytest.mark.parametrize("recorded", ["missing", None, "1", 1.5, -1])
 def test_analyze_needs_a_usable_recorded_split_seed(trained, bundle, tmp_path, capsys, recorded):
     def edit(manifest):
         if recorded == "missing":
@@ -272,8 +272,19 @@ def test_analyze_needs_a_usable_recorded_split_seed(trained, bundle, tmp_path, c
     argv = analyze_argv(trained, bundle, base, tmp_path / "r")
     capsys.readouterr()
     assert cli.main(argv) == 1
-    assert "split_seed" in single_error_line(capsys)
+    line = single_error_line(capsys)
+    assert "split_seed" in line and f"{base}.json" in line, line
     assert cli.main(argv + ["--split-seed", "0"]) == 0
+
+
+def test_analyze_rejects_a_negative_split_seed(trained, bundle, tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = analyze_argv(trained, bundle, os.path.join(trained, "seed_0", "checkpoint"), out)
+    capsys.readouterr()
+    assert cli.main(argv + ["--split-seed", "-1"]) == 1
+    line = single_error_line(capsys)
+    assert "--split-seed" in line and "-1" in line, line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, reason", [
@@ -455,6 +466,17 @@ def test_sweep_casts_values_to_the_field_type(bundle, tmp_path, capsys):
     assert cli.main([*argv, "--values", "2.5"]) == 1
     assert "--values" in single_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("param, values", [("k-aux", "2,4,2"), ("lambda", "1,1.0")])
+def test_sweep_rejects_a_repeated_value(bundle, tmp_path, capsys, param, values):
+    out = tmp_path / "sweeps" / "sweep.csv"
+    capsys.readouterr()
+    assert cli.main(["sweep", "--dataset", bundle, "--out", str(out), *SWEEP_FLAGS,
+                     "--param", param, "--values", values]) == 1
+    line = single_error_line(capsys)
+    assert "--values" in line and "repeats" in line, line
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("extra, field", [

@@ -7,6 +7,7 @@ edgeless graphs, identity weights).
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import disamgnn as d
 from disamgnn import models as M
@@ -35,14 +36,14 @@ def dense_gcn_adjacency(g):
 
 def test_normalized_adjacency_isolated_node():
     g = d.build_graph([(0, 1)], np.zeros((3, 1)), np.array([0, 1, 0]), 2)
-    dense = d.gcn_normalized_adjacency(g).to_dense()
+    dense = d.gcn_normalized_adjacency(g).toarray()
     assert dense[2, 2] == 1.0
     assert np.all(dense[2, :2] == 0.0)
 
 
 def test_normalized_adjacency_single_edge_is_half_everywhere():
     g = d.build_graph([(0, 1)], np.zeros((2, 1)), np.array([0, 1]), 2)
-    dense = d.gcn_normalized_adjacency(g).to_dense()
+    dense = d.gcn_normalized_adjacency(g).toarray()
     assert np.allclose(dense, 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
@@ -50,16 +51,39 @@ def test_normalized_adjacency_matches_dense_formula():
     rng = np.random.default_rng(3)
     for rep in range(5):
         g = random_graph(rng, n=20)
-        got = d.gcn_normalized_adjacency(g).to_dense()
+        got = d.gcn_normalized_adjacency(g).toarray()
         assert np.allclose(got, dense_gcn_adjacency(g), atol=1e-12)
 
 
 def test_mean_adjacency_rows_and_isolated():
     g = d.build_graph([(0, 1), (0, 2)], np.zeros((4, 1)),
                       np.array([0, 1, 0, 1]), 2)
-    dense = M.mean_adjacency(g).to_dense()
+    dense = M.mean_adjacency(g).toarray()
     assert np.allclose(dense[0], [0.0, 0.5, 0.5, 0.0], atol=1e-15)
     assert np.all(dense[3] == 0.0)
+
+
+@pytest.mark.parametrize("build", [d.gcn_normalized_adjacency, M.mean_adjacency,
+                                   M.sum_adjacency])
+def test_adjacency_builders_return_canonical_csr(build):
+    g = random_graph(np.random.default_rng(4), n=30)
+    adj = build(g)
+    # sorted, duplicate-free rows fix each row's summation order in spmm
+    assert isinstance(adj, sp.csr_array) and adj.has_canonical_format
+    assert adj.shape == (g.num_nodes, g.num_nodes)
+
+
+def test_spmm_gradient_on_the_mean_adjacency_is_its_transpose():
+    rng = np.random.default_rng(5)
+    g = d.build_graph([(0, 1), (0, 2), (0, 3), (3, 4)], np.zeros((6, 1)),
+                      np.array([0, 1, 0, 1, 0, 1]), 2)
+    adj = M.mean_adjacency(g)
+    dense = adj.toarray()
+    assert not np.allclose(dense, dense.T)
+    x = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    upstream = rng.normal(size=(6, 3))
+    T.backward(T.weighted_sum(T.spmm(adj, x), upstream))
+    assert np.allclose(x.grad, dense.T @ upstream, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ entries in place and rebuilds the loss through a caller-supplied closure.
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from disamgnn import tensor as T
 
@@ -159,7 +160,7 @@ def test_fd_matmul():
 def test_fd_spmm():
     rng = np.random.default_rng(11)
     dense = (rng.random((5, 4)) < 0.5) * rng.normal(size=(5, 4))
-    s = T.SparseMatrix.from_scipy(dense)
+    s = csr_array(dense)
     x = param(rng, 4, 3)
     w = rand_weights(rng, (5, 3))
     fd_check(lambda: T.weighted_sum(T.spmm(s, x), w), [x])
@@ -234,7 +235,7 @@ def test_fd_pair_softplus():
     fd_check(lambda: T.pair_softplus(x, left, right, signs, weights), [x])
 
     a = param(rng, 4, 3)
-    pad = T.SparseMatrix.from_scipy(np.eye(5, 4))
+    pad = csr_array(np.eye(5, 4))
 
     def normalized():
         return T.pair_softplus(T.row_l2_normalize(T.spmm(pad, a)), left, right, signs, weights)
@@ -256,7 +257,7 @@ def test_fd_composite_two_layer_chain():
     rng = np.random.default_rng(22)
     dense = (rng.random((6, 6)) < 0.4) * 1.0
     np.fill_diagonal(dense, 1.0)
-    s = T.SparseMatrix.from_scipy(dense)
+    s = csr_array(dense)
     x = T.Tensor(rng.normal(size=(6, 3)))
     w1 = param(rng, 3, 4)
     b1 = param(rng, 1, 4)
@@ -309,11 +310,11 @@ def test_spmm_matches_dense_product():
     rng = np.random.default_rng(31)
     for rep in range(5):
         dense = (rng.random((7, 5)) < 0.4) * rng.normal(size=(7, 5))
-        s = T.SparseMatrix.from_scipy(dense)
+        s = csr_array(dense)
         x = rng.normal(size=(5, 3))
         out = T.spmm(s, T.Tensor(x))
         assert np.allclose(out.values, dense @ x, atol=1e-12)
-        assert np.allclose(s.to_dense(), dense, atol=0)
+        assert np.allclose(s.toarray(), dense, atol=0)
 
 
 def test_row_l2_normalize_unit_or_zero_rows():
@@ -360,14 +361,3 @@ def test_op_shape_errors():
         T.pair_softplus(a, [0, 1], [0, 1], [1.0], [1.0, 1.0])
     with pytest.raises(IndexError):
         T.pair_softplus(a, [0, 1], [0, 2], [1.0, 1.0], [1.0, 1.0])
-
-
-def test_sparse_matrix_validation():
-    with pytest.raises(ValueError):
-        T.SparseMatrix(np.array([0, 2]), np.array([0]), np.array([1.0]), (1, 2))
-    with pytest.raises(ValueError):
-        T.SparseMatrix(np.array([0, 1]), np.array([5]), np.array([1.0]), (1, 2))
-    with pytest.raises(ValueError):
-        T.SparseMatrix(np.array([0, 1]), np.array([0]), np.array([np.inf]), (1, 2))
-    with pytest.raises(ValueError):
-        T.SparseMatrix(np.array([0, 1, 0]), np.array([0]), np.array([1.0]), (2, 2))
