@@ -38,9 +38,11 @@ def confusion_matrix(preds, labels, mask, num_classes: int) -> np.ndarray:
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     idx = _mask_index(mask, labels.shape[0])
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (labels[idx], preds[idx]), 1)
-    return cm
+    truth, pred = labels[idx], preds[idx]
+    if min(truth.min(), pred.min()) < 0 or max(truth.max(), pred.max()) >= num_classes:
+        raise IndexError("class index out of range")
+    cells = np.bincount(truth * num_classes + pred, minlength=num_classes * num_classes)
+    return cells.reshape(num_classes, num_classes)
 
 
 def accuracy(preds, labels, mask) -> float:

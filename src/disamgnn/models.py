@@ -25,9 +25,11 @@ from .graph import Graph
 from .tensor import (
     Tensor,
     _result,
+    _row_max,
     add,
     concat_cols,
     dropout,
+    linear,
     matmul,
     relu,
     scalar_mul,
@@ -238,7 +240,7 @@ def forward(
 
     if params.backbone == "sgc":
         emb = _propagated(cache, g, "gcn_adj", params.sgc_k)
-        h = add(matmul(emb, p["linear.weight"]), p["linear.bias"])
+        h = linear(emb, p["linear.weight"], p["linear.bias"])
         return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
 
     adj_key = {"gcn": "gcn_adj", "sage": "mean_adj", "gin": "sum_adj"}[params.backbone]
@@ -247,16 +249,16 @@ def forward(
     for i in range(n_layers):
         ax = _propagated(cache, g, adj_key, 1) if i == 0 else None
         if params.backbone == "gcn":
-            w = p[f"layer{i}.weight"]
-            h = add(matmul(ax, w) if i == 0 else spmm(adj, matmul(h, w)), p[f"layer{i}.bias"])
+            w, b = p[f"layer{i}.weight"], p[f"layer{i}.bias"]
+            h = linear(ax, w, b) if i == 0 else add(spmm(adj, matmul(h, w)), b)
         elif params.backbone == "sage":
             combined = (_cached(cache, "sage_in", lambda: concat_cols(h, ax)) if i == 0
                         else concat_cols(h, spmm(adj, h)))
-            h = add(matmul(combined, p[f"layer{i}.weight"]), p[f"layer{i}.bias"])
+            h = linear(combined, p[f"layer{i}.weight"], p[f"layer{i}.bias"])
         else:  # gin
             agg = add(add(h, scalar_mul(p[f"layer{i}.eps"], h)), ax if i == 0 else spmm(adj, h))
-            z = relu(add(matmul(agg, p[f"layer{i}.mlp0.weight"]), p[f"layer{i}.mlp0.bias"]))
-            h = add(matmul(z, p[f"layer{i}.mlp1.weight"]), p[f"layer{i}.mlp1.bias"])
+            z = relu(linear(agg, p[f"layer{i}.mlp0.weight"], p[f"layer{i}.mlp0.bias"]))
+            h = linear(z, p[f"layer{i}.mlp1.weight"], p[f"layer{i}.mlp1.bias"])
         if i < n_layers - 1:
             h = emb = between_layers(h)
 
@@ -279,7 +281,7 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
         raise IndexError("mask index out of range")
 
     rows = logits.values[idx]
-    shifted = rows - rows.max(axis=1, keepdims=True)
+    shifted = rows - _row_max(rows)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
     picked = log_probs[np.arange(idx.size), labels[idx]]
@@ -289,8 +291,9 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
         if logits.requires_grad:
             soft = np.exp(log_probs)
             soft[np.arange(idx.size), labels[idx]] -= 1.0
-            gx = np.zeros_like(logits.values)
+            gx = np.zeros(logits.shape)
             np.add.at(gx, idx, soft / idx.size)
-            logits.accumulate_grad(g[0, 0] * gx)
+            gx *= g[0, 0]
+            logits._take_grad(gx)
 
     return _result(vals, (logits,), grad_fn)

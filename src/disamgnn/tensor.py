@@ -2,10 +2,11 @@
 
 Every op is a free function taking and returning Tensor objects; calling an
 op appends a node to the implicit computation graph held by parent links.
-``backward(loss)`` walks that graph once in reverse topological order and
-accumulates gradients additively into every tensor that requires them.
+``backward(loss)`` walks that graph once in reverse topological order. It
+hands each node's gradient to that node's op once and then drops it, so
+only leaves (tensors no op produced) keep and accumulate ``.grad``.
 
-The op set is deliberately closed: matmul, spmm, add, relu, scale,
+The op set is deliberately closed: matmul, linear, spmm, add, relu, scale,
 scalar_mul, row_l2_normalize, softmax_rows, concat_cols, weighted_sum,
 pair_softplus, dropout. Each one has a finite-difference test;
 weighted_sum is the scalar readout those tests differentiate through.
@@ -21,6 +22,7 @@ __all__ = [
     "Tensor",
     "backward",
     "matmul",
+    "linear",
     "spmm",
     "add",
     "relu",
@@ -40,8 +42,9 @@ class Tensor:
     """A 2-D float64 array with optional gradient tracking.
 
     Scalars are stored as (1, 1) tensors and 1-D input is promoted to a
-    single row. ``grad`` is lazily allocated and accumulates across ops and
-    across repeated backward passes; call ``zero_grad`` between steps.
+    single row. On a leaf, ``grad`` is lazily allocated and accumulates
+    across ops and across repeated backward passes; call ``zero_grad``
+    between steps. ``backward`` leaves the ``grad`` of every op output None.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -74,8 +77,14 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # An owned copy: ops hand the same g to several parents, or views.
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            g = np.array(g, dtype=np.float64, order="C")
+        self._take_grad(g)
+
+    def _take_grad(self, g: np.ndarray) -> None:
+        # g must be a fresh C-contiguous float64 array that no one else holds:
+        # it becomes this tensor's grad, which relu's backward writes into.
+        if self.grad is None:
+            self.grad = g
         else:
             self.grad += g
 
@@ -93,7 +102,11 @@ def _result(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad for every reachable tensor."""
+    """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf.
+
+    Each op output's gradient is handed to its op once and then dropped, so
+    after the walk only leaves hold a ``.grad``.
+    """
     if loss.values.size != 1:
         raise ValueError("backward expects a scalar loss tensor")
     # Iterative DFS topological order; graphs can be deep at many layers.
@@ -112,10 +125,11 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
-    loss.accumulate_grad(np.ones_like(loss.values))
+    loss._take_grad(np.ones_like(loss.values))
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+            g, node.grad = node.grad, None
+            node._backward_fn(g)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +144,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         if a.requires_grad:
-            a.accumulate_grad(g @ b.values.T)
+            a._take_grad(g @ b.values.T)
         if b.requires_grad:
-            b.accumulate_grad(a.values.T @ g)
+            b._take_grad(a.values.T @ g)
 
     return _result(vals, (a, b), grad_fn)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (1, cols) row bias b: add(matmul(x, w), b) as one node."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ValueError(f"linear shape mismatch {x.shape} @ {w.shape} + {b.shape}")
+    vals = x.values @ w.values
+    vals += b.values
+
+    def grad_fn(g):
+        if b.requires_grad:
+            b._take_grad(g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            x._take_grad(g @ w.values.T)
+        if w.requires_grad:
+            w._take_grad(x.values.T @ g)
+
+    return _result(vals, (x, w, b), grad_fn)
 
 
 def spmm(s: _sp.sparray, x: Tensor) -> Tensor:
@@ -145,7 +177,7 @@ def spmm(s: _sp.sparray, x: Tensor) -> Tensor:
 
     def grad_fn(g):
         if x.requires_grad:
-            x.accumulate_grad(s.T @ g)
+            x._take_grad(s.T @ g)
 
     return _result(vals, (x,), grad_fn)
 
@@ -161,10 +193,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     vals = a.values + b.values
 
     def grad_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
+        # g goes to a itself; b gets its row sum, or a copy when a takes g
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0, keepdims=True) if bias else g)
+            if bias:
+                b._take_grad(g.sum(axis=0, keepdims=True))
+            elif a.requires_grad:
+                b.accumulate_grad(g)
+            else:
+                b._take_grad(g)
+        if a.requires_grad:
+            a._take_grad(g)
 
     return _result(vals, (a, b), grad_fn)
 
@@ -176,7 +214,8 @@ def relu(x: Tensor) -> Tensor:
 
     def grad_fn(g):
         if x.requires_grad:
-            x.accumulate_grad(g * mask)
+            g *= mask
+            x._take_grad(g)
 
     return _result(vals, (x,), grad_fn)
 
@@ -188,7 +227,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
     def grad_fn(g):
         if x.requires_grad:
-            x.accumulate_grad(g * c)
+            x._take_grad(g * c)
 
     return _result(vals, (x,), grad_fn)
 
@@ -202,9 +241,9 @@ def scalar_mul(s: Tensor, x: Tensor) -> Tensor:
 
     def grad_fn(g):
         if s.requires_grad:
-            s.accumulate_grad(np.array([[np.sum(g * x.values)]]))
+            s._take_grad(np.array([[np.sum(g * x.values)]]))
         if x.requires_grad:
-            x.accumulate_grad(g * c)
+            x._take_grad(g * c)
 
     return _result(vals, (s, x), grad_fn)
 
@@ -220,21 +259,32 @@ def row_l2_normalize(x: Tensor) -> Tensor:
             inner = (g * vals).sum(axis=1, keepdims=True)
             gx = (g - vals * inner) / safe
             gx[norms[:, 0] == 0] = 0.0
-            x.accumulate_grad(gx)
+            x._take_grad(gx)
 
     return _result(vals, (x,), grad_fn)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1, keepdims=True), one np.maximum per column.
+
+    Exact, NaN included, and for the few columns of a class axis far faster
+    than numpy's reduction over short rows.
+    """
+    out = a[:, :1].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out[:, 0], a[:, j], out=out[:, 0])
+    return out
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Numerically stable row-wise softmax."""
-    shifted = x.values - x.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(x.values - _row_max(x.values))
     vals = e / e.sum(axis=1, keepdims=True)
 
     def grad_fn(g):
         if x.requires_grad:
             inner = (g * vals).sum(axis=1, keepdims=True)
-            x.accumulate_grad(vals * (g - inner))
+            x._take_grad(vals * (g - inner))
 
     return _result(vals, (x,), grad_fn)
 
@@ -279,7 +329,7 @@ def weighted_sum(x: Tensor, w) -> Tensor:
 
     def grad_fn(g):
         if x.requires_grad:
-            x.accumulate_grad(g[0, 0] * w)
+            x._take_grad(g[0, 0] * w)
 
     return _result(vals, (x,), grad_fn)
 
@@ -321,7 +371,7 @@ def pair_softplus(x: Tensor, left, right, signs, weights) -> Tensor:
             np.cumsum(np.bincount(left, minlength=n), out=offsets[1:])
             coef = g[0, 0] * weights * signs * _sigmoid(z)
             c = _sp.csr_array((coef, right, offsets), shape=(n, n))
-            x.accumulate_grad(c @ x.values + c.T @ x.values)
+            x._take_grad(c @ x.values + c.T @ x.values)
 
     return _result(vals, (x,), grad_fn)
 
@@ -338,6 +388,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
     def grad_fn(g):
         if x.requires_grad:
-            x.accumulate_grad(g * keep * factor)
+            x._take_grad(g * keep * factor)
 
     return _result(vals, (x,), grad_fn)

@@ -145,6 +145,9 @@ def op_sweep_worst():
     signs, pw = np.array([-1.0, 1.0, 1.0, -1.0, 1.0]), rng.random(5)
     worst = max(worst, fd_max_rel_err(
         lambda: T.pair_softplus(x, left, right, signs, pw), [x]))
+
+    x, w, bias = t((3, 4)), t((4, 2)), t((1, 2))
+    worst = max(worst, reduce_fd(lambda: T.linear(x, w, bias), x, w, bias))
     return worst
 
 

@@ -93,6 +93,25 @@ def test_chance_level_auroc_near_half():
 # oracles
 
 
+def test_confusion_matrix_matches_scatter():
+    rng = np.random.default_rng(12)
+    for rep in range(20):
+        n, c = int(rng.integers(1, 50)), int(rng.integers(1, 7))
+        labels = rng.integers(0, c, size=n)
+        preds = rng.integers(0, c, size=n)
+        mask = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))  # repeats count
+        expected = np.zeros((c, c), dtype=np.int64)
+        np.add.at(expected, (labels[mask], preds[mask]), 1)
+        cm = d.confusion_matrix(preds, labels, mask, c)
+        assert cm.dtype == expected.dtype and np.array_equal(cm, expected)
+    with pytest.raises(ValueError, match="empty"):
+        d.confusion_matrix(preds, labels, [], c)
+    for bad in (c, -1):
+        preds[mask[0]] = bad
+        with pytest.raises(IndexError):
+            d.confusion_matrix(preds, labels, mask, c)
+
+
 def test_confusion_and_derived_metrics_match_naive_tally():
     rng = np.random.default_rng(11)
     for rep in range(10):

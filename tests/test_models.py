@@ -289,6 +289,76 @@ def test_adjacency_builders_are_looked_up_at_call_time(monkeypatch):
                      "gcn_normalized_adjacency"]
 
 
+def test_tape_ops_are_looked_up_at_call_time(monkeypatch):
+    # a tracer wraps the ops where models reads them; a name bound at import
+    # time would hide its calls from the trace
+    calls = set()
+    for name in ("linear", "matmul", "add", "relu", "spmm"):
+        op = getattr(M, name)
+        monkeypatch.setattr(M, name, lambda *a, op=op, name=name: calls.add(name) or op(*a))
+    g = random_graph(np.random.default_rng(44), n=8)
+    reached = {}
+    for backbone in d.BACKBONES:
+        calls.clear()
+        d.forward(d.init_model(backbone, g.num_features, g.num_classes,
+                               rng=np.random.default_rng(0)), g)
+        reached[backbone] = set(calls)
+    assert reached == {"gcn": {"linear", "matmul", "add", "relu", "spmm"},
+                       "sage": {"linear", "relu", "spmm"},
+                       "gin": {"linear", "add", "relu", "spmm"},
+                       "sgc": {"linear"}}
+
+
+def tape_nodes(loss):
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("backbone", d.BACKBONES)
+def test_backward_keeps_owned_gradients_on_leaves_only(backbone):
+    rng = np.random.default_rng(45)
+    g = random_graph(rng, n=15)
+    params = d.init_model(backbone, g.num_features, g.num_classes, hidden_dim=6,
+                          rng=np.random.default_rng(3))
+    groups = d.build_contrast_groups(d.forward(params, g).embeddings.values, g,
+                                     np.arange(g.num_nodes), d.DisamConfig(),
+                                     np.random.default_rng(5))
+    assert len(groups.pairs()[0]) > 0
+
+    def joint_loss():
+        # a fresh generator per call keeps the dropout mask fixed
+        out = d.forward(params, g, training=True, dropout_rate=0.3, rng=np.random.default_rng(4))
+        ce = M.cross_entropy_loss(out, g.labels, np.arange(g.num_nodes))
+        return T.add(ce, T.scale(d.jsd_contrast_loss(out.embeddings, groups), 1.0))
+
+    loss = joint_loss()
+    T.backward(loss)
+    nodes = tape_nodes(loss)
+    assert all(t.grad is None for t in nodes if t._backward_fn is not None)
+    grads = [t.grad for t in nodes if t._backward_fn is None and t.grad is not None]
+    assert len(grads) == len(params.params)
+    for i, grad in enumerate(grads):
+        assert grad.flags.c_contiguous and grad.flags.owndata
+        assert not any(np.shares_memory(grad, other) for other in grads[:i])
+    # and the handed-down arrays still add up to the right gradients
+    h = 1e-6
+    for t in params.params.values():
+        for idx in np.ndindex(*t.shape):
+            orig = t.values[idx]
+            t.values[idx] = orig + h
+            up = joint_loss().item()
+            t.values[idx] = orig - h
+            dn = joint_loss().item()
+            t.values[idx] = orig
+            fd = (up - dn) / (2 * h)
+            assert abs(t.grad[idx] - fd) / max(abs(t.grad[idx]) + abs(fd), 1e-8) < 1e-4, idx
+
+
 @pytest.mark.parametrize("backbone", d.BACKBONES)
 def test_cached_aggregate_is_a_constant_that_backward_leaves_alone(backbone):
     rng = np.random.default_rng(37)

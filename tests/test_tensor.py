@@ -135,6 +135,68 @@ def test_first_gradient_is_an_owned_copy():
     assert x.grad is not g and np.signbit(x.grad[0, 0])
 
 
+def test_relu_output_used_twice():
+    # relu scales its incoming gradient in place; a second consumer's share
+    # must not see that write
+    rng = np.random.default_rng(25)
+    x = param(rng, 4, 3)
+    x.values[np.abs(x.values) < 0.05] = 0.3  # keep clear of the kink
+    w = rand_weights(rng, (4, 3))
+    wide = rand_weights(rng, (4, 6))
+
+    def shared(combine, weights):
+        def loss():
+            y = T.relu(x)
+            return T.weighted_sum(combine(y, y), weights)
+        return loss
+
+    fd_check(shared(T.add, w), [x])
+    fd_check(shared(T.concat_cols, wide), [x])
+    # add's second parent reads the same incoming gradient after relu ran
+    fd_check(lambda: T.weighted_sum(T.add(T.relu(x), T.scale(x, -0.5)), w), [x])
+
+
+def test_linear_is_bytes_of_add_matmul():
+    rng = np.random.default_rng(26)
+    for rows, inner, cols in [(7, 3, 5), (1, 4, 2), (40, 9, 6)]:
+        weights = rand_weights(rng, (rows, cols))
+        grads = []
+        for fused in (True, False):
+            local = np.random.default_rng(rows)
+            x, w, b = param(local, rows, inner), param(local, inner, cols), param(local, 1, cols)
+            out = T.linear(x, w, b) if fused else T.add(T.matmul(x, w), b)
+            T.backward(T.weighted_sum(out, weights))
+            grads.append([out.values.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
+        assert grads[0] == grads[1]
+
+
+def test_softmax_rows_equals_reduction_max_formula():
+    # the old formula, with numpy's row-max reduction
+    def reference(v):
+        e = np.exp(v - v.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(27)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 3.5])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for cols in (1, 2, 3, 5, 8, 13):
+            v = rng.choice(specials, size=(300, cols))
+            v[::4] = rng.normal(size=(len(v[::4]), cols))
+            v[1::7, :] = v[1::7, :1]  # ties across the whole row
+            got = T.softmax_rows(T.Tensor(v)).values
+            assert got.tobytes() == reference(v).tobytes(), cols
+
+
+def test_repeated_backward_over_one_graph_adds_one_gradient_per_pass():
+    # op outputs drop their grad after handing it down, so a second pass
+    # over the same tape does not re-send the first pass's share
+    x = T.Tensor(np.array([[1.0, -2.0, 3.0]]), requires_grad=True)
+    loss = total(T.relu(T.scale(x, 2.0)))
+    T.backward(loss)
+    T.backward(loss)
+    assert x.grad.tolist() == [[4.0, 0.0, 4.0]]
+
+
 def test_zero_grad_resets_accumulation():
     x = T.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     T.backward(total(x))
@@ -164,6 +226,15 @@ def test_fd_spmm():
     x = param(rng, 4, 3)
     w = rand_weights(rng, (5, 3))
     fd_check(lambda: T.weighted_sum(T.spmm(s, x), w), [x])
+
+
+def test_fd_linear():
+    rng = np.random.default_rng(24)
+    x = param(rng, 4, 3)
+    w = param(rng, 3, 5)
+    bias = param(rng, 1, 5)
+    weights = rand_weights(rng, (4, 5))
+    fd_check(lambda: T.weighted_sum(T.linear(x, w, bias), weights), [x, w, bias])
 
 
 def test_fd_add_same_shape_and_bias():
