@@ -14,7 +14,6 @@ from disamgnn import (
     get_preset,
     graph_homophily,
     make_split,
-    node_homophily,
     node_homophily_vector,
     sbm_generate,
 )
@@ -36,7 +35,6 @@ def main() -> None:
     # Nodes 2 and 3 sit on the bridge, so one of their three neighbors
     # carries the other class: homophily 2/3. Everyone else is at 1.
     print(f"  node homophily   = {np.round(node_homophily_vector(g), 3).tolist()}")
-    print(f"  node_homophily(2)= {node_homophily(g, 2):.3f}")
     print(f"  graph homophily  = {graph_homophily(g):.3f}")
     print()
 

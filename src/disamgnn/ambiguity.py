@@ -31,7 +31,6 @@ __all__ = [
     "update_memory",
     "ambiguity_scores",
     "select_ambiguous",
-    "similarity",
     "build_contrast_groups",
     "jsd_contrast_loss",
 ]
@@ -142,17 +141,6 @@ def select_ambiguous(scores: np.ndarray, threshold: float) -> np.ndarray:
     """Node indices whose score strictly exceeds the threshold, ascending."""
     scores = np.asarray(scores)
     return np.flatnonzero(scores > threshold).astype(np.int64)
-
-
-def similarity(z_u, z_v) -> float:
-    """Cosine similarity between two embedding rows; zero rows give 0.0."""
-    u = np.asarray(z_u, dtype=np.float64).ravel()
-    v = np.asarray(z_v, dtype=np.float64).ravel()
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v / (nu * nv))
 
 
 def _pools_for_node(

@@ -225,6 +225,8 @@ def _sweep_workers(jobs: int, cells: int) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.param not in _SWEEPABLE:
         raise ValueError(
             f"cannot sweep {args.param!r}; choose from {sorted(_SWEEPABLE)}"

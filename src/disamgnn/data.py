@@ -14,12 +14,13 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .graph import Graph, SplitMasks, build_graph
 from .models import ModelParams, init_model
+from .train import EpochRecord
 
 __all__ = [
     "load_bundle",
@@ -274,6 +275,9 @@ def save_bundle(
 # splits
 
 
+_TRAIN_FRACTION, _VAL_FRACTION = 0.05, 0.1  # the test split gets the rest
+
+
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     base = np.floor(quotas).astype(np.int64)
     leftover = total - int(base.sum())
@@ -292,27 +296,16 @@ def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def make_split(
-    g: Graph,
-    ratios: tuple[float, float, float] = (0.5, 1.0, 8.5),
-    rng: np.random.Generator | None = None,
-) -> SplitMasks:
-    """Deterministic train/val/test node split with the given proportions.
+def make_split(g: Graph, rng: np.random.Generator) -> SplitMasks:
+    """Deterministic, stratified 5%/10%/85% train/val/test node split.
 
-    Ratios are normalized, so (0.5, 1, 8.5) yields 5%/10%/85%. The split is
-    stratified: it allocates per class by largest remainder and guarantees
-    at least one train node for every class. All three parts must come out
-    non-empty and every class must have at least one member.
+    Allocates per class by largest remainder and guarantees at least one
+    train node for every class. All three parts must come out non-empty
+    and every class must have at least one member.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.shape != (3,) or (ratios < 0).any() or ratios.sum() <= 0:
-        raise ValueError("ratios must be three non-negative numbers with a positive sum")
-    fracs = ratios / ratios.sum()
     n = g.num_nodes
-    n_train = int(round(fracs[0] * n))
-    n_val = int(round(fracs[1] * n))
+    n_train = int(round(_TRAIN_FRACTION * n))
+    n_val = int(round(_VAL_FRACTION * n))
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"split sizes ({n_train}, {n_val}, {n_test}) must all be >= 1")
@@ -322,7 +315,7 @@ def make_split(
         empty = np.flatnonzero(class_counts == 0).tolist()
         raise ValueError(f"classes without members cannot be stratified: {empty}")
 
-    train_alloc = _largest_remainder(fracs[0] * class_counts, n_train)
+    train_alloc = _largest_remainder(_TRAIN_FRACTION * class_counts, n_train)
     # Every class contributes at least one train node; borrow from the
     # largest allocation when rounding starved a class.
     for c in range(g.num_classes):
@@ -332,8 +325,7 @@ def make_split(
                 raise ValueError("train split too small to cover every class")
             train_alloc[donor] -= 1
             train_alloc[c] += 1
-    val_quota = fracs[1] * class_counts
-    val_alloc = _largest_remainder(val_quota, n_val)
+    val_alloc = _largest_remainder(_VAL_FRACTION * class_counts, n_val)
     # Never allocate beyond what remains after train.
     for c in range(g.num_classes):
         room = class_counts[c] - train_alloc[c]
@@ -605,16 +597,7 @@ def checkpoint_split_seed(base_path: str) -> int | None:
 # ---------------------------------------------------------------------------
 # csv surfaces
 
-HISTORY_COLUMNS = (
-    "epoch",
-    "loss_ce",
-    "loss_contrast",
-    "loss_total",
-    "train_acc",
-    "val_acc",
-    "num_ambiguous",
-    "mean_ambiguity",
-)
+HISTORY_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 
 def _cell(value):

@@ -2,11 +2,11 @@
 
 Provides
 --------
-Graph           frozen CSR graph with dense features and integer labels
-SplitMasks      disjoint train/val/test node-index sets
-build_graph     validate + canonicalize an edge list into a Graph
-node_homophily  fraction of a node's neighbors sharing its label
-graph_homophily mean node homophily over non-isolated nodes
+Graph                  frozen CSR graph with dense features and integer labels
+SplitMasks             disjoint train/val/test node-index sets
+build_graph            validate + canonicalize an edge list into a Graph
+node_homophily_vector  fraction of each node's neighbors sharing its label
+graph_homophily        mean node homophily over non-isolated nodes
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "Graph",
     "SplitMasks",
     "build_graph",
-    "node_homophily",
     "node_homophily_vector",
     "graph_homophily",
 ]
@@ -166,18 +165,8 @@ def build_graph(edges, features, labels, num_classes: int | None = None) -> Grap
     )
 
 
-def node_homophily(g: Graph, v: int) -> float:
-    """Fraction of ``v``'s neighbors sharing its label; 1.0 for isolated nodes."""
-    if not 0 <= v < g.num_nodes:
-        raise IndexError(f"node {v} out of range for {g.num_nodes} nodes")
-    nbr = g.neighbors(v)
-    if nbr.size == 0:
-        return 1.0
-    return float(np.mean(g.labels[nbr] == g.labels[v]))
-
-
 def node_homophily_vector(g: Graph) -> np.ndarray:
-    """node_homophily for every node at once (isolated nodes get 1.0)."""
+    """Fraction of each node's neighbors sharing its label; 1.0 for isolated nodes."""
     deg = g.degrees()
     same = (g.labels[g.csr_targets] == np.repeat(g.labels, deg)).astype(np.float64)
     sums = np.bincount(np.repeat(np.arange(g.num_nodes), deg), weights=same, minlength=g.num_nodes)

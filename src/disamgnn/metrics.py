@@ -52,9 +52,7 @@ def accuracy(preds, labels, mask) -> float:
     return float(np.mean(preds[idx] == labels[idx]))
 
 
-def per_class_f1(preds, labels, mask, num_classes: int) -> np.ndarray:
-    """F1 per class; 0.0 whenever precision+recall degenerate to nothing."""
-    cm = confusion_matrix(preds, labels, mask, num_classes)
+def _f1_from_confusion(cm: np.ndarray) -> np.ndarray:
     tp = np.diag(cm).astype(np.float64)
     fp = cm.sum(axis=0) - tp
     fn = cm.sum(axis=1) - tp
@@ -62,15 +60,19 @@ def per_class_f1(preds, labels, mask, num_classes: int) -> np.ndarray:
     return np.where(denom > 0, 2 * tp / np.where(denom > 0, denom, 1.0), 0.0)
 
 
-def macro_f1(preds, labels, mask, num_classes: int | None = None) -> float:
-    """Unweighted mean F1 over classes present in the masked labels."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(max(np.max(labels), np.max(preds))) + 1
-    cm = confusion_matrix(preds, labels, mask, num_classes)
-    f1 = per_class_f1(preds, labels, mask, num_classes)
+def _macro_f1_from_confusion(cm: np.ndarray) -> float:
     present = cm.sum(axis=1) > 0
-    return float(f1[present].mean())
+    return float(_f1_from_confusion(cm)[present].mean())
+
+
+def per_class_f1(preds, labels, mask, num_classes: int) -> np.ndarray:
+    """F1 per class; 0.0 whenever precision+recall degenerate to nothing."""
+    return _f1_from_confusion(confusion_matrix(preds, labels, mask, num_classes))
+
+
+def macro_f1(preds, labels, mask, num_classes: int) -> float:
+    """Unweighted mean F1 over classes present in the masked labels."""
+    return _macro_f1_from_confusion(confusion_matrix(preds, labels, mask, num_classes))
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -126,11 +128,11 @@ class MetricsReport:
 def metrics_report(class_probs, labels, mask, num_classes: int) -> MetricsReport:
     """ACC / macro-F1 / macro-AUROC plus the confusion table, one mask."""
     probs = np.asarray(class_probs, dtype=np.float64)
-    preds = probs.argmax(axis=1)
+    cm = confusion_matrix(probs.argmax(axis=1), labels, mask, num_classes)
     return MetricsReport(
-        acc=accuracy(preds, labels, mask),
-        macro_f1=macro_f1(preds, labels, mask, num_classes),
+        acc=float(np.trace(cm) / cm.sum()),
+        macro_f1=_macro_f1_from_confusion(cm),
         macro_auroc=macro_auroc(probs, labels, mask),
-        per_class_f1=per_class_f1(preds, labels, mask, num_classes),
-        confusion=confusion_matrix(preds, labels, mask, num_classes),
+        per_class_f1=_f1_from_confusion(cm),
+        confusion=cm,
     )

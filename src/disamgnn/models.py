@@ -105,15 +105,13 @@ def init_model(
     hidden_dim: int = 64,
     num_layers: int = 2,
     sgc_k: int | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ModelParams:
     """Glorot-uniform weights, zero biases, zero GIN epsilons."""
     if backbone not in BACKBONES:
         raise ValueError(f"unknown backbone {backbone!r}, expected one of {BACKBONES}")
     if num_layers < 1:
         raise ValueError("num_layers must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     if sgc_k is None:
         sgc_k = num_layers
 
@@ -279,18 +277,21 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
         raise ValueError("cross_entropy_loss needs a non-empty mask")
     if idx.min() < 0 or idx.max() >= logits.shape[0]:
         raise IndexError("mask index out of range")
+    truth = labels[idx]
+    if truth.min() < 0 or truth.max() >= logits.shape[1]:
+        raise IndexError("class index out of range")
 
     rows = logits.values[idx]
     shifted = rows - _row_max(rows)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
-    picked = log_probs[np.arange(idx.size), labels[idx]]
+    picked = log_probs[np.arange(idx.size), truth]
     vals = np.array([[-picked.mean()]])
 
     def grad_fn(g):
         if logits.requires_grad:
             soft = np.exp(log_probs)
-            soft[np.arange(idx.size), labels[idx]] -= 1.0
+            soft[np.arange(idx.size), truth] -= 1.0
             gx = np.zeros(logits.shape)
             np.add.at(gx, idx, soft / idx.size)
             gx *= g[0, 0]

@@ -6,8 +6,8 @@ Strategy 1 crosses class-frequency tiers with a local-structure subgroup.
 Classes fall into Minority / Middle / Majority tiers by splitting the
 [min class count, max class count] range into three equal-width,
 upper-inclusive bins. Within a tier a node is Same-class when its label
-homophily reaches the cut, else Minor-class when a strict plurality of its
-neighbors belongs to Minority-tier classes, else Others.
+homophily reaches HOMOPHILY_CUT (0.5), else Minor-class when a strict
+plurality of its neighbors belongs to Minority-tier classes, else Others.
 
 Strategy 2 crosses minority adjacency (at least one neighbor from a
 Minority-tier class) with the same homophily cut, giving four groups;
@@ -35,6 +35,7 @@ __all__ = [
 TIER_MINORITY, TIER_MIDDLE, TIER_MAJORITY = 0, 1, 2
 TIER_NAMES = ("Minority", "Middle", "Majority")
 _SUBGROUP_NAMES = ("Same-class", "Minor-class", "Others")
+HOMOPHILY_CUT = 0.5
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def class_size_tiers(labels, num_classes: int) -> np.ndarray:
     return tiers.astype(np.int64)
 
 
-def strategy1_groups(g: Graph, homophily_cut: float = 0.5) -> NodeGroups:
+def strategy1_groups(g: Graph) -> NodeGroups:
     """Class-frequency tier x {Same-class, Minor-class, Others}; 9 groups."""
     tiers = class_size_tiers(g.labels, g.num_classes)
     hom = node_homophily_vector(g)
@@ -90,7 +91,7 @@ def strategy1_groups(g: Graph, homophily_cut: float = 0.5) -> NodeGroups:
     minor = (counts[:, TIER_MINORITY] > counts[:, TIER_MIDDLE]) & (
         counts[:, TIER_MINORITY] > counts[:, TIER_MAJORITY]
     )
-    sub = np.where(hom >= homophily_cut, 0, np.where(minor, 1, 2))
+    sub = np.where(hom >= HOMOPHILY_CUT, 0, np.where(minor, 1, 2))
     ids = tiers[g.labels] * 3 + sub
     labels = tuple(
         f"{tier}/{sub}" for tier in TIER_NAMES for sub in _SUBGROUP_NAMES
@@ -99,7 +100,7 @@ def strategy1_groups(g: Graph, homophily_cut: float = 0.5) -> NodeGroups:
     return NodeGroups(strategy=1, group_ids=ids, labels=labels, counts=counts)
 
 
-def strategy2_groups(g: Graph, homophily_cut: float = 0.5) -> NodeGroups:
+def strategy2_groups(g: Graph) -> NodeGroups:
     """Minority adjacency x homophily level; isolated nodes excluded."""
     tiers = class_size_tiers(g.labels, g.num_classes)
     minority_class = tiers == TIER_MINORITY
@@ -108,7 +109,7 @@ def strategy2_groups(g: Graph, homophily_cut: float = 0.5) -> NodeGroups:
     arc_src = np.repeat(np.arange(g.num_nodes), deg)
     minority_arc = minority_class[g.labels[g.csr_targets]]
     adjacent = np.bincount(arc_src[minority_arc], minlength=g.num_nodes) > 0
-    high = hom >= homophily_cut
+    high = hom >= HOMOPHILY_CUT
     ids = np.where(deg == 0, -1, np.where(adjacent, 0, 2) + high)
     labels = (
         "AdjMinority/LowHom",

@@ -6,7 +6,7 @@ op appends a node to the implicit computation graph held by parent links.
 hands each node's gradient to that node's op once and then drops it, so
 only leaves (tensors no op produced) keep and accumulate ``.grad``.
 
-The op set is deliberately closed: matmul, linear, spmm, add, relu, scale,
+The op set is deliberately closed: matmul, linear, spmm, add, relu,
 scalar_mul, row_l2_normalize, softmax_rows, concat_cols, weighted_sum,
 pair_softplus, dropout. Each one has a finite-difference test;
 weighted_sum is the scalar readout those tests differentiate through.
@@ -26,12 +26,10 @@ __all__ = [
     "spmm",
     "add",
     "relu",
-    "scale",
     "scalar_mul",
     "row_l2_normalize",
     "softmax_rows",
     "concat_cols",
-    "softplus",
     "weighted_sum",
     "pair_softplus",
     "dropout",
@@ -220,20 +218,8 @@ def relu(x: Tensor) -> Tensor:
     return _result(vals, (x,), grad_fn)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python constant (not gradient-tracked in c)."""
-    c = float(c)
-    vals = x.values * c
-
-    def grad_fn(g):
-        if x.requires_grad:
-            x._take_grad(g * c)
-
-    return _result(vals, (x,), grad_fn)
-
-
 def scalar_mul(s: Tensor, x: Tensor) -> Tensor:
-    """Multiply x by a learnable (1, 1) scalar tensor s."""
+    """Multiply x by a (1, 1) scalar tensor s, learnable or constant."""
     if s.shape != (1, 1):
         raise ValueError("scalar_mul expects a (1, 1) scalar tensor")
     c = s.values[0, 0]
@@ -303,12 +289,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(g[:, split:])
 
     return _result(vals, (a, b), grad_fn)
-
-
-def softplus(x: float) -> float:
-    """Overflow-safe log(1 + exp(x)) for python scalars."""
-    x = float(x)
-    return max(x, 0.0) + float(np.log1p(np.exp(-abs(x))))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

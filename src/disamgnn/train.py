@@ -36,7 +36,7 @@ from .graph import Graph, SplitMasks
 from .metrics import MetricsReport, accuracy, metrics_report
 from .models import ModelParams, cross_entropy_loss, forward, init_model
 from .optim import AdamState, adam_step
-from .tensor import add, backward, scale
+from .tensor import Tensor, add, backward, scalar_mul
 
 __all__ = [
     "TrainConfig",
@@ -108,20 +108,15 @@ class TrainingDiverged(RuntimeError):
 
 
 def train(
-    cfg: TrainConfig, g: Graph, masks: SplitMasks, rng: np.random.Generator | None = None
+    cfg: TrainConfig, g: Graph, masks: SplitMasks
 ) -> tuple[ModelParams, AmbiguityState, TrainHistory]:
-    """Train a backbone on one graph; returns the best-validation snapshot.
-
-    ``rng`` overrides the seed-derived init stream and is only meant for
-    tests; normal callers rely on cfg.seed for full determinism.
-    """
+    """Train a backbone on one graph; returns the best-validation snapshot."""
     cfg.validate()
     if masks.train.size == 0 or masks.val.size == 0:
         raise ValueError("train and val masks must be non-empty")
     dc = cfg.disam
 
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
-    init_rng = rng if rng is not None else np.random.default_rng(streams[0])
     dropout_rng = np.random.default_rng(streams[1])
     contrast_rng = np.random.default_rng(streams[2])
 
@@ -132,7 +127,7 @@ def train(
         hidden_dim=cfg.hidden_dim,
         num_layers=cfg.num_layers,
         sgc_k=cfg.sgc_k,
-        rng=init_rng,
+        rng=np.random.default_rng(streams[0]),
     )
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     state = AmbiguityState.create(g.num_nodes, g.num_classes)
@@ -179,7 +174,7 @@ def train(
         ce = cross_entropy_loss(out, g.labels, masks.train)
         if dc.loss_weight > 0 and groups is not None and len(groups):
             contrast = jsd_contrast_loss(out.embeddings, groups)
-            total = add(ce, scale(contrast, dc.loss_weight))
+            total = add(ce, scalar_mul(Tensor(dc.loss_weight), contrast))
             contrast_val = contrast.item()
         else:
             contrast_val = 0.0

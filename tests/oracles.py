@@ -1,0 +1,34 @@
+"""Scalar reference implementations that the tests check the package against.
+
+Each one computes, for one value, one pair or one node, what the package
+computes for whole arrays at once.
+"""
+
+import numpy as np
+
+
+def softplus(x: float) -> float:
+    """Overflow-safe log(1 + exp(x)) for python scalars."""
+    x = float(x)
+    return max(x, 0.0) + float(np.log1p(np.exp(-abs(x))))
+
+
+def similarity(z_u, z_v) -> float:
+    """Cosine similarity between two embedding rows; zero rows give 0.0."""
+    u = np.asarray(z_u, dtype=np.float64).ravel()
+    v = np.asarray(z_v, dtype=np.float64).ravel()
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v / (nu * nv))
+
+
+def node_homophily(g, v: int) -> float:
+    """Fraction of ``v``'s neighbors sharing its label; 1.0 for isolated nodes."""
+    if not 0 <= v < g.num_nodes:
+        raise IndexError(f"node {v} out of range for {g.num_nodes} nodes")
+    nbr = g.neighbors(v)
+    if nbr.size == 0:
+        return 1.0
+    return float(np.mean(g.labels[nbr] == g.labels[v]))

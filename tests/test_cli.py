@@ -501,6 +501,16 @@ def test_sweep_parallel_jobs_match_serial(bundle, tmp_path):
     assert read_bytes(str(serial)) == read_bytes(str(parallel))
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(bundle, tmp_path, capsys, jobs):
+    out = tmp_path / "sweeps" / "sweep.csv"
+    capsys.readouterr()
+    assert cli.main(["sweep", "--dataset", bundle, "--out", str(out), *SWEEP_FLAGS,
+                     "--jobs", jobs]) == 1
+    assert single_error_line(capsys) == f"error: --jobs must be >= 1, got {jobs}"
+    assert not out.parent.exists()
+
+
 def test_sweep_workers_are_bounded_by_cells_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert cli._sweep_workers(1_000_000, 6) == 4

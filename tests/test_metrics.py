@@ -193,13 +193,20 @@ def test_metrics_report_consistency():
     labels = rng.integers(0, 3, size=50)
     probs = rng.random((50, 3))
     probs /= probs.sum(axis=1, keepdims=True)
-    mask = np.arange(0, 50, 2)
-    rep = d.metrics_report(probs, labels, mask, 3)
-    preds = probs.argmax(axis=1)
-    assert rep.acc == d.accuracy(preds, labels, mask)
-    assert rep.macro_f1 == d.macro_f1(preds, labels, mask, 3)
-    assert rep.macro_auroc == d.macro_auroc(probs, labels, mask)
-    assert rep.confusion.sum() == mask.size
+    cases = [(probs, labels, np.arange(0, 50, 2), 3)]
+    for _ in range(20):
+        n, c = int(rng.integers(10, 80)), int(rng.integers(2, 7))
+        mask = rng.choice(n, size=int(rng.integers(n // 2, n + 1)), replace=False)
+        cases.append((rng.random((n, c)), rng.integers(0, c, size=n), mask, c))
+    for probs, labels, mask, c in cases:
+        rep = d.metrics_report(probs, labels, mask, c)
+        preds = probs.argmax(axis=1)
+        assert rep.acc == d.accuracy(preds, labels, mask)
+        assert rep.macro_f1 == d.macro_f1(preds, labels, mask, c)
+        assert rep.per_class_f1.tobytes() == d.per_class_f1(preds, labels, mask, c).tobytes()
+        assert np.array_equal(rep.confusion, d.confusion_matrix(preds, labels, mask, c))
+        assert rep.macro_auroc == d.macro_auroc(probs, labels, mask)
+        assert rep.confusion.sum() == mask.size
     as_dict = rep.to_dict()
     assert set(as_dict) == {"acc", "macro_f1", "macro_auroc",
                             "per_class_f1", "confusion"}

@@ -334,7 +334,7 @@ def test_backward_keeps_owned_gradients_on_leaves_only(backbone):
         # a fresh generator per call keeps the dropout mask fixed
         out = d.forward(params, g, training=True, dropout_rate=0.3, rng=np.random.default_rng(4))
         ce = M.cross_entropy_loss(out, g.labels, np.arange(g.num_nodes))
-        return T.add(ce, T.scale(d.jsd_contrast_loss(out.embeddings, groups), 1.0))
+        return T.add(ce, T.scalar_mul(T.Tensor(1.0), d.jsd_contrast_loss(out.embeddings, groups)))
 
     loss = joint_loss()
     T.backward(loss)
@@ -411,9 +411,9 @@ def test_forward_validation_errors():
     with pytest.raises(ValueError):
         d.forward(params, g, training=True, dropout_rate=0.5)
     with pytest.raises(ValueError):
-        d.init_model("mystery", 3, 2)
+        d.init_model("mystery", 3, 2, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        d.init_model("gcn", 3, 2, num_layers=0)
+        d.init_model("gcn", 3, 2, num_layers=0, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,3 +481,13 @@ def test_cross_entropy_mask_validation():
         d.cross_entropy_loss(logits, labels, np.array([], dtype=np.int64))
     with pytest.raises(IndexError):
         d.cross_entropy_loss(logits, labels, np.array([4]))
+
+
+def test_cross_entropy_rejects_masked_labels_outside_the_classes():
+    # numpy indexing would read label -1 as the last class
+    logits = T.Tensor(np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -0.5]]), requires_grad=True)
+    for bad in (-1, 3):
+        with pytest.raises(IndexError, match="class index"):
+            d.cross_entropy_loss(logits, np.array([bad, 0]), np.arange(2))
+    # labels outside the mask are never read
+    assert d.cross_entropy_loss(logits, np.array([-1, 0]), np.array([1])).item() > 0

@@ -85,8 +85,8 @@ def test_strategy1_pure_neighborhood_is_same_class():
 def test_strategy1_matches_direct_rules():
     rng = np.random.default_rng(3)
     for g in [random_graph(rng) for _ in range(8)] + [tie_and_isolated_graph()]:
-        cut = 0.5
-        groups = d.strategy1_groups(g, homophily_cut=cut)
+        cut = d.regions.HOMOPHILY_CUT
+        groups = d.strategy1_groups(g)
         tiers = d.class_size_tiers(g.labels, g.num_classes)
         hom = d.node_homophily_vector(g)
         for v in range(g.num_nodes):

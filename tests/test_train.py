@@ -190,7 +190,7 @@ def two_forward_train(cfg, g, masks):
         total, contrast_val = ce, 0.0
         if groups is not None and len(groups):
             contrast = d.jsd_contrast_loss(train_out.embeddings, groups)
-            total = T.add(ce, T.scale(contrast, dc.loss_weight))
+            total = T.add(ce, T.scalar_mul(T.Tensor(dc.loss_weight), contrast))
             contrast_val = contrast.item()
         params.zero_grads()
         T.backward(total)
