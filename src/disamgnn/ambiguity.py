@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _sorted_unique
 from .tensor import Tensor, pair_softplus, row_l2_normalize
 
 __all__ = [
@@ -159,32 +159,9 @@ def _pools_for_node(
     return pos.astype(np.int64), neg.astype(np.int64)
 
 
-# Rows per block of the auxiliary scan are capped so that rows * num_nodes stays
+# Rows per block of the similarity scan are capped so that rows * num_nodes stays
 # near this many entries: an 8 MB float64 similarity block plus a 1 MB mask.
 _SCAN_BLOCK_ELEMS = 1 << 20
-
-
-def _aux_candidates(zn: np.ndarray, g: Graph, nodes: np.ndarray, min_similarity: float):
-    """Yield (v, candidates) for each v in ``nodes``, in order.
-
-    Candidates are the nodes other than v and its neighbors whose similarity
-    to v reaches ``min_similarity``, ascending. Similarities come from one
-    ``zn[block] @ zn.T`` per block of consecutive nodes.
-    """
-    rows = max(1, _SCAN_BLOCK_ELEMS // max(zn.shape[0], 1))
-    for start in range(0, nodes.size, rows):
-        block = nodes[start : start + rows]
-        eligible = zn[block] @ zn.T >= min_similarity
-        for v, row in zip(block.tolist(), eligible):
-            row[v] = False
-            row[g.neighbors(v)] = False
-            yield v, np.flatnonzero(row)
-
-
-def _sample(cand: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    if cand.size > count:
-        cand = rng.choice(cand, size=count, replace=False)
-    return np.sort(cand).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -221,28 +198,28 @@ def _compile_pairs(pools: dict[int, NodePools]):
     Positives (neighbor and auxiliary pooled) carry sign -1 and negatives
     +1; each pair is weighted by one over the size of its pool.
     """
-    anchors, members, signs = [], [], []
-    for v in sorted(pools):
-        p = pools[v]
-        anchors += [v, v]
-        members += [np.concatenate([p.pos, p.aux_pos]), p.neg]
-        signs += [-1.0, 1.0]
-    sizes = np.array([m.size for m in members], dtype=np.int64)
-    right = np.concatenate(members) if members else np.empty(0)
+    anchors = sorted(pools)
+    parts = [a for v in anchors for a in (pools[v].pos, pools[v].aux_pos, pools[v].neg)]
+    sizes = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)).reshape(-1, 3)
+    sizes = np.stack((sizes[:, 0] + sizes[:, 1], sizes[:, 2]), axis=1).ravel()  # pos, neg per anchor
+    right = np.concatenate(parts) if parts else np.empty(0)
     return (
-        np.repeat(np.asarray(anchors, dtype=np.int64), sizes),
+        np.repeat(np.repeat(np.asarray(anchors, dtype=np.int64), 2), sizes),
         right.astype(np.int64),
-        np.repeat(np.asarray(signs), sizes),
+        np.repeat(np.tile([-1.0, 1.0], len(anchors)), sizes),
         np.repeat(1.0 / np.maximum(sizes, 1), sizes),
     )
 
 
+def _split_kept(values: np.ndarray, keep: np.ndarray, bounds: np.ndarray) -> list:
+    """values[keep], cut into one array per segment bounds[i]:bounds[i + 1]."""
+    at = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
+    kept = values[keep]
+    return [kept[a:b] for a, b in zip(at, at[1:])]
+
+
 def build_contrast_groups(
-    embeddings,
-    g: Graph,
-    nodes,
-    cfg: DisamConfig,
-    rng: np.random.Generator,
+    embeddings, g: Graph, nodes, cfg: DisamConfig, rng: np.random.Generator
 ) -> ContrastGroups:
     """Build pools for every node in ``nodes``, skipping isolated ones.
 
@@ -253,17 +230,70 @@ def build_contrast_groups(
     sampled uniformly without replacement and returned ascending.
 
     They are drawn from ``rng`` one node at a time in the order of
-    ``nodes``, so the same order gives the same draws. Their
-    similarity scan holds one block of at most max(2**20, num_nodes)
-    float64 entries (8 MB at that cap) plus a boolean mask of the same shape.
+    ``nodes``, so the same order gives the same draws. ``nodes`` must be
+    distinct integers in [0, num_nodes); ``embeddings`` has one row per node.
+
+    Each block of nodes makes one similarity product against a transposed
+    n x d copy of the normalized embeddings: at most max(2**20, num_nodes)
+    float64 entries (8 MB at that cap), then a boolean mask of that shape.
+    Its neighbor similarities may differ in the last bits from the per-node
+    product of ``_pools_for_node``: two float64 dot products of unit rows
+    differ by at most 2*gamma_d, gamma_d = d*u/(1 - d*u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 3.1), so a comparison with m
+    or a cut point can flip only within about 4*gamma_d + 2*u of it. Nodes
+    with a neighbor within twice that (8*gamma_d + 8*u) of a cut point take
+    their pools from ``_pools_for_node``; so does any node with |m| that
+    small, since its best neighbor then lies that close to both cuts.
     """
-    zn = row_l2_normalize(Tensor(embeddings)).values
-    nodes = np.asarray(nodes, dtype=np.int64)
+    emb, nodes = np.asarray(embeddings, dtype=np.float64), np.asarray(nodes)
+    if emb.ndim != 2 or emb.shape[0] != g.num_nodes:
+        raise ValueError(f"embeddings must be 2-D with {g.num_nodes} rows, got shape {emb.shape}")
+    if nodes.ndim != 1 or (nodes.size and nodes.dtype.kind not in "iu"):
+        raise ValueError(f"nodes must be 1-D integer indices, got {nodes.dtype} {nodes.shape}")
+    nodes = nodes.astype(np.int64)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= g.num_nodes):
+        raise IndexError(f"node index out of range for {g.num_nodes} nodes")
+    if _sorted_unique(nodes).size != nodes.size:
+        raise ValueError("nodes must not repeat")
     nodes = nodes[g.degrees()[nodes] > 0]
+    zn = row_l2_normalize(Tensor(emb)).values
+    zt = np.ascontiguousarray(zn.T)
+    # The neighbor lists of ``nodes``, one after another, and their bounds.
+    deg = g.degrees()[nodes]
+    bounds = np.concatenate(([0], np.cumsum(deg)))
+    nbr = g.csr_targets[np.repeat(g.csr_offsets[nodes] - bounds[:-1], deg) + np.arange(bounds[-1])]
+    edge_row = np.repeat(np.arange(nodes.size), deg)
+    sims, aux = np.empty(nbr.size), []  # each neighbor's similarity; each node's aux pool
+    rows = max(1, _SCAN_BLOCK_ELEMS // max(zn.shape[0], 1))
+    for start in range(0, nodes.size, rows):
+        block = nodes[start : start + rows]
+        lo, hi = bounds[start], bounds[start + block.size]
+        r, t = edge_row[lo:hi] - start, nbr[lo:hi]
+        prod = zn[block] @ zt
+        sims[lo:hi] = prod[r, t]
+        eligible = prod >= cfg.aux_similarity_min
+        del prod
+        eligible[np.arange(block.size), block] = False
+        eligible[r, t] = False
+        for row in eligible:
+            cand = row.nonzero()[0]
+            if cand.size > cfg.aux_samples:
+                cand = rng.choice(cand, size=cfg.aux_samples, replace=False)
+            aux.append(np.sort(cand))
+
+    u = np.finfo(np.float64).eps / 2
+    margin = 8 * zn.shape[1] * u / (1 - zn.shape[1] * u) + 8 * u  # 8*gamma_d + 8*u
+    m = np.repeat(np.maximum.reduceat(sims, bounds[:-1]), deg)  # the node's best, per neighbor
+    pos_cut, neg_cut = cfg.pos_ratio * m, cfg.neg_ratio * m
+    is_pos, is_neg = (sims > pos_cut) & (m > 0), sims <= neg_cut
+    near = (np.abs(sims - pos_cut) <= margin) | (np.abs(sims - neg_cut) <= margin)
+    fallback = np.logical_or.reduceat(near, bounds[:-1])
+    pos, neg = _split_kept(nbr, is_pos, bounds), _split_kept(nbr, is_neg, bounds)
     groups = ContrastGroups()
-    for v, cand in _aux_candidates(zn, g, nodes, cfg.aux_similarity_min):
-        pos, neg = _pools_for_node(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
-        groups.pools[v] = NodePools(pos=pos, neg=neg, aux_pos=_sample(cand, cfg.aux_samples, rng))
+    for i, v in enumerate(nodes.tolist()):
+        if fallback[i]:
+            pos[i], neg[i] = _pools_for_node(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
+        groups.pools[v] = NodePools(pos=pos[i], neg=neg[i], aux_pos=aux[i])
     return groups
 
 

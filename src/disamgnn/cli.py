@@ -221,7 +221,7 @@ def _sweep_job(cfg: TrainConfig, g: Graph, bundle_masks: SplitMasks | None) -> d
 
 def _sweep_workers(jobs: int, cells: int) -> int:
     """Worker processes for ``--jobs``: at most one per cell and per CPU."""
-    return max(1, min(jobs, cells, os.cpu_count() or 1))
+    return min(jobs, cells, os.cpu_count() or 1)
 
 
 def cmd_sweep(args) -> int:

@@ -570,6 +570,116 @@ def test_blocked_builder_matches_per_node_oracle(monkeypatch, block_elems):
             assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("block_elems", [None, 1, 100, 250])
+def test_blocked_builder_matches_per_node_oracle_at_d64(monkeypatch, block_elems):
+    # At d=64 the blocked product and the per-node product differ in the
+    # last bits, unlike at d=3.
+    if block_elems is not None:  # 1, 2 or 5 rows of 50 nodes per block
+        monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(2024)
+    for kwargs in [dict(), dict(aux_samples=2, aux_similarity_min=0.1),
+                   dict(aux_samples=40, aux_similarity_min=-0.05, pos_ratio=0.5, neg_ratio=0.1)]:
+        cfg = d.DisamConfig(**kwargs)
+        for rep in range(3):
+            g = random_graph(rng, n=50, p=0.2, feat_dim=2)
+            emb = rng.normal(size=(50, 64)) + rng.normal(size=64)  # correlated rows
+            nodes = rng.permutation(50)[:40]
+            ours_rng, ref_rng = np.random.default_rng(rep), np.random.default_rng(rep)
+            groups = d.build_contrast_groups(emb, g, nodes, cfg, ours_rng)
+            expected = per_node_contrast_groups(emb, g, nodes, cfg, ref_rng)
+            assert list(groups.pools) == list(expected)
+            for v, (pos, neg, aux) in expected.items():
+                pools = groups.pools[v]
+                assert np.array_equal(pools.pos, pos), f"pos pool of node {v}"
+                assert np.array_equal(pools.neg, neg), f"neg pool of node {v}"
+                assert np.array_equal(pools.aux_pos, aux), f"aux pool of node {v}"
+                assert pools.pos.dtype == pools.neg.dtype == pools.aux_pos.dtype == np.int64
+            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def planted_cut_graph(rng, dim=64):
+    """Stars whose centers sit at the builder's exactness margin, plus a random graph.
+
+    Center 0's neighbors sit at cosines 0.9, 0.75*0.9 and 0.2, so one lies
+    on the positive cut of the default pos_ratio; center 4's at 0.9, 0.5 and
+    0.4*0.9, one on the negative cut; center 8's neighbors are orthogonal to
+    it, so its best similarity m is 0 up to rounding. Each neighbor is
+    a*e + sqrt(1 - a^2)*f in a random orthonormal frame, so every coordinate
+    is nonzero and the computed cosines land within a few ulps of a. Nodes
+    12..41 form a random graph with random embeddings.
+    """
+    frame = np.linalg.qr(rng.normal(size=(dim, dim)))[0].T
+    emb = np.zeros((42, dim))
+    edges = []
+    for center, cosines in [(0, (0.9, 0.75 * 0.9, 0.2)), (4, (0.9, 0.5, 0.4 * 0.9)),
+                            (8, (0.0, 0.0, 0.0))]:
+        emb[center] = frame[center]
+        for k, a in enumerate(cosines, start=1):
+            emb[center + k] = a * frame[center] + np.sqrt(1 - a * a) * frame[center + k]
+            edges.append((center, center + k))
+    edges += [(u, v) for u in range(12, 42) for v in range(u + 1, 42) if rng.random() < 0.15]
+    emb[12:] = rng.normal(size=(30, dim))
+    g = d.build_graph(edges, np.zeros((42, 2)), np.zeros(42, dtype=np.int64), 2)
+    return g, emb
+
+
+def test_nodes_at_the_exactness_margin_fall_back_to_the_per_node_pools(monkeypatch):
+    g, emb = planted_cut_graph(np.random.default_rng(8))
+    zn = T.row_l2_normalize(T.Tensor(emb)).values
+    nodes = np.array([v for v in range(42) if v not in (9, 10, 11)])  # center 8's leaves have m ~ 0 too
+    per_node = d.ambiguity._pools_for_node
+    fallbacks = []
+
+    def counted(zn, g, v, pos_ratio, neg_ratio):
+        fallbacks.append(v)
+        return per_node(zn, g, v, pos_ratio, neg_ratio)
+
+    monkeypatch.setattr(d.ambiguity, "_pools_for_node", counted)
+    cfg = d.DisamConfig()
+    groups = d.build_contrast_groups(emb, g, nodes, cfg, np.random.default_rng(0))
+    assert fallbacks == [0, 4, 8]
+    for v, pools in groups.pools.items():
+        pos, neg = per_node(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
+        assert np.array_equal(pools.pos, pos), f"pos pool of node {v}"
+        assert np.array_equal(pools.neg, neg), f"neg pool of node {v}"
+
+
+def test_build_groups_rejects_out_of_range_nodes():
+    g, emb = aux_test_graph()
+    for nodes in ([-1], [0, g.num_nodes]):
+        with pytest.raises(IndexError):
+            d.build_contrast_groups(emb, g, nodes, d.DisamConfig(), np.random.default_rng(0))
+
+
+def test_build_groups_rejects_non_integer_nodes():
+    g, emb = aux_test_graph()
+    for nodes in ([1.7], [0.0, 1.0], [True], [[0, 1]]):
+        with pytest.raises(ValueError):
+            d.build_contrast_groups(emb, g, nodes, d.DisamConfig(), np.random.default_rng(0))
+
+
+def test_build_groups_rejects_repeated_nodes():
+    g, emb = aux_test_graph()
+    with pytest.raises(ValueError, match="repeat"):
+        d.build_contrast_groups(emb, g, [0, 3, 0], d.DisamConfig(), np.random.default_rng(0))
+
+
+def test_build_groups_rejects_embeddings_without_one_row_per_node():
+    g, emb = aux_test_graph()
+    for bad in (emb[:-1], emb[None], emb.ravel()):
+        with pytest.raises(ValueError, match="embeddings"):
+            d.build_contrast_groups(bad, g, [0], d.DisamConfig(), np.random.default_rng(0))
+
+
+def test_build_groups_accepts_no_nodes():
+    g, emb = aux_test_graph()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for nodes in ([], np.empty(0, dtype=np.int64)):
+        assert len(d.build_contrast_groups(emb, g, nodes, d.DisamConfig(), rng)) == 0
+    assert rng.bit_generator.state == before
+
+
 def test_disam_config_validation():
     d.DisamConfig().validate()
     bad = [dict(memory_decay=1.2), dict(score_threshold=0.0),

@@ -516,8 +516,6 @@ def test_sweep_workers_are_bounded_by_cells_and_cpus(monkeypatch):
     assert cli._sweep_workers(1_000_000, 6) == 4
     assert cli._sweep_workers(1_000_000, 3) == 3
     assert cli._sweep_workers(2, 6) == 2
-    assert cli._sweep_workers(0, 6) == 1
-    assert cli._sweep_workers(-3, 6) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._sweep_workers(8, 6) == 1
 
