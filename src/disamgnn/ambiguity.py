@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _sorted_unique
+from .graph import Graph, _node_index, _sorted_unique
 from .tensor import Tensor, pair_softplus, row_l2_normalize
 
 __all__ = [
@@ -143,24 +143,8 @@ def select_ambiguous(scores: np.ndarray, threshold: float) -> np.ndarray:
     return np.flatnonzero(scores > threshold).astype(np.int64)
 
 
-def _pools_for_node(
-    zn: np.ndarray, g: Graph, v: int, pos_ratio: float, neg_ratio: float
-) -> tuple[np.ndarray, np.ndarray]:
-    nbr = g.neighbors(v)
-    sims = zn[nbr] @ zn[v]
-    m = sims.max()
-    if m > 0:
-        pos = nbr[sims > pos_ratio * m]
-    else:
-        # Best neighbor already dissimilar: nothing qualifies as positive,
-        # and every similarity <= m <= neg_ratio*m falls in the negative pool.
-        pos = np.empty(0, dtype=np.int64)
-    neg = nbr[sims <= neg_ratio * m]
-    return pos.astype(np.int64), neg.astype(np.int64)
-
-
 # Rows per block of the similarity scan are capped so that rows * num_nodes stays
-# near this many entries: an 8 MB float64 similarity block plus a 1 MB mask.
+# close to this many entries: an 8 MB float64 similarity block plus a 1 MB mask.
 _SCAN_BLOCK_ELEMS = 1 << 20
 
 
@@ -236,21 +220,14 @@ def build_contrast_groups(
     Each block of nodes makes one similarity product against a transposed
     n x d copy of the normalized embeddings: at most max(2**20, num_nodes)
     float64 entries (8 MB at that cap), then a boolean mask of that shape.
-    Its neighbor similarities may differ in the last bits from the per-node
-    product of ``_pools_for_node``: two float64 dot products of unit rows
-    differ by at most 2*gamma_d, gamma_d = d*u/(1 - d*u) (Higham, Accuracy
-    and Stability of Numerical Algorithms, sec. 3.1), so a comparison with m
-    or a cut point can flip only within about 4*gamma_d + 2*u of it. Nodes
-    with a neighbor within twice that (8*gamma_d + 8*u) of a cut point take
-    their pools from ``_pools_for_node``; so does any node with |m| that
-    small, since its best neighbor then lies that close to both cuts.
+    Both pool kinds are read from that product, so a similarity lying on a
+    cut point is decided by its bits, as for the auxiliary threshold.
     """
-    emb, nodes = np.asarray(embeddings, dtype=np.float64), np.asarray(nodes)
+    emb, nodes = np.asarray(embeddings, dtype=np.float64), _node_index(nodes, "nodes")
     if emb.ndim != 2 or emb.shape[0] != g.num_nodes:
         raise ValueError(f"embeddings must be 2-D with {g.num_nodes} rows, got shape {emb.shape}")
-    if nodes.ndim != 1 or (nodes.size and nodes.dtype.kind not in "iu"):
-        raise ValueError(f"nodes must be 1-D integer indices, got {nodes.dtype} {nodes.shape}")
-    nodes = nodes.astype(np.int64)
+    if nodes.ndim != 1:
+        raise ValueError(f"nodes must be 1-D, got shape {nodes.shape}")
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.num_nodes):
         raise IndexError(f"node index out of range for {g.num_nodes} nodes")
     if _sorted_unique(nodes).size != nodes.size:
@@ -281,20 +258,10 @@ def build_contrast_groups(
                 cand = rng.choice(cand, size=cfg.aux_samples, replace=False)
             aux.append(np.sort(cand))
 
-    u = np.finfo(np.float64).eps / 2
-    margin = 8 * zn.shape[1] * u / (1 - zn.shape[1] * u) + 8 * u  # 8*gamma_d + 8*u
     m = np.repeat(np.maximum.reduceat(sims, bounds[:-1]), deg)  # the node's best, per neighbor
-    pos_cut, neg_cut = cfg.pos_ratio * m, cfg.neg_ratio * m
-    is_pos, is_neg = (sims > pos_cut) & (m > 0), sims <= neg_cut
-    near = (np.abs(sims - pos_cut) <= margin) | (np.abs(sims - neg_cut) <= margin)
-    fallback = np.logical_or.reduceat(near, bounds[:-1])
+    is_pos, is_neg = (sims > cfg.pos_ratio * m) & (m > 0), sims <= cfg.neg_ratio * m
     pos, neg = _split_kept(nbr, is_pos, bounds), _split_kept(nbr, is_neg, bounds)
-    groups = ContrastGroups()
-    for i, v in enumerate(nodes.tolist()):
-        if fallback[i]:
-            pos[i], neg[i] = _pools_for_node(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
-        groups.pools[v] = NodePools(pos=pos[i], neg=neg[i], aux_pos=aux[i])
-    return groups
+    return ContrastGroups({v: NodePools(*p) for v, p in zip(nodes.tolist(), zip(pos, neg, aux))})
 
 
 def jsd_contrast_loss(embeddings: Tensor, groups: ContrastGroups) -> Tensor:

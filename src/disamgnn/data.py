@@ -194,6 +194,12 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
     edges = _read_edges(p("edges.tsv"))
     features = _read_features(p("features.csv"))
     labels = _read_labels(p("labels.csv"))
+    n = features.shape[0]
+    if labels.size != n:
+        raise ValueError(f"{p('labels.csv')}: {labels.size} labels for the {n} rows of features.csv")
+    outside = edges[((edges < 0) | (edges >= n)).any(axis=1)].tolist()
+    if outside:
+        raise ValueError(f"{p('edges.tsv')}: edge {tuple(outside[0])} has an endpoint outside the {n} nodes")
 
     num_classes = None
     meta_path = os.path.join(path, "meta.json")

@@ -39,6 +39,14 @@ def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
 
 
+def _node_index(values, what: str) -> np.ndarray:
+    """``values`` as int64 node ids; a non-empty bool or float array fails, not read as ids."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integer node indices, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph in CSR form.
@@ -82,7 +90,7 @@ class SplitMasks:
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
-            raw = np.asarray(getattr(self, name), dtype=np.int64).ravel()
+            raw = _node_index(getattr(self, name), f"{name} mask").ravel()
             arr = _sorted_unique(raw)
             if arr.size != raw.size:
                 raise ValueError(f"{name} mask contains duplicate node indices")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _node_index
+
 __all__ = [
     "MetricsReport",
     "confusion_matrix",
@@ -25,7 +27,7 @@ __all__ = [
 
 
 def _mask_index(mask, n: int) -> np.ndarray:
-    idx = np.asarray(mask, dtype=np.int64)
+    idx = _node_index(mask, "metric mask")
     if idx.size == 0:
         raise ValueError("metric mask is empty")
     if idx.min() < 0 or idx.max() >= n:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import Graph, _node_index
 from .tensor import (
     Tensor,
     _result,
@@ -272,7 +272,7 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
     """
     logits = output.logits if isinstance(output, ForwardOutput) else output
     labels = np.asarray(labels, dtype=np.int64)
-    idx = np.asarray(mask, dtype=np.int64)
+    idx = _node_index(mask, "cross_entropy_loss mask")
     if idx.size == 0:
         raise ValueError("cross_entropy_loss needs a non-empty mask")
     if idx.min() < 0 or idx.max() >= logits.shape[0]:

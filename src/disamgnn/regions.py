@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, node_homophily_vector
+from .graph import Graph, _node_index, node_homophily_vector
 
 __all__ = [
     "TIER_NAMES",
@@ -138,7 +138,7 @@ def group_report(
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    idx = np.asarray(mask, dtype=np.int64)
+    idx = _node_index(mask, "group_report mask")
 
     def row(label: str, members: np.ndarray) -> dict:
         count = int(members.size)

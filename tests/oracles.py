@@ -32,3 +32,23 @@ def node_homophily(g, v: int) -> float:
     if nbr.size == 0:
         return 1.0
     return float(np.mean(g.labels[nbr] == g.labels[v]))
+
+
+def neighbor_pools(zn, g, v: int, pos_ratio: float, neg_ratio: float):
+    """(pos, neg) neighbor pools of ``v`` from its own similarity product.
+
+    ``zn`` holds unit-normalized embedding rows. With m the best neighbor
+    similarity, positives lie strictly above pos_ratio*m (none when m <= 0)
+    and negatives at or below neg_ratio*m.
+    """
+    nbr = g.neighbors(v)
+    sims = zn[nbr] @ zn[v]
+    m = sims.max()
+    if m > 0:
+        pos = nbr[sims > pos_ratio * m]
+    else:
+        # Best neighbor already dissimilar: nothing qualifies as positive,
+        # and every similarity <= m <= neg_ratio*m falls in the negative pool.
+        pos = np.empty(0, dtype=np.int64)
+    neg = nbr[sims <= neg_ratio * m]
+    return pos.astype(np.int64), neg.astype(np.int64)

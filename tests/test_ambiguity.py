@@ -11,7 +11,7 @@ import scipy.stats
 
 import disamgnn as d
 from disamgnn import tensor as T
-from oracles import similarity, softplus
+from oracles import neighbor_pools, similarity, softplus
 
 LN2 = np.log(2.0)
 
@@ -500,13 +500,39 @@ def test_loss_monotone_in_pair_similarity():
 # group construction invariants
 
 
+def planted_cut_graph(rng, dim=64):
+    """Stars whose centers have a neighbor on a pool cut, plus a random graph.
+
+    Center 0's neighbors sit at cosines 0.9, 0.75*0.9 and 0.2, so one lies
+    on the positive cut of the default pos_ratio; center 4's at 0.9, 0.5 and
+    0.4*0.9, one on the negative cut; center 8's neighbors are orthogonal to
+    it, so its best similarity m is 0 up to rounding. Each neighbor is
+    a*e + sqrt(1 - a^2)*f in a random orthonormal frame, so every coordinate
+    is nonzero and the computed cosines land within a few ulps of a. Nodes
+    12..41 form a random graph with random embeddings.
+    """
+    frame = np.linalg.qr(rng.normal(size=(dim, dim)))[0].T
+    emb = np.zeros((42, dim))
+    edges = []
+    for center, cosines in [(0, (0.9, 0.75 * 0.9, 0.2)), (4, (0.9, 0.5, 0.4 * 0.9)),
+                            (8, (0.0, 0.0, 0.0))]:
+        emb[center] = frame[center]
+        for k, a in enumerate(cosines, start=1):
+            emb[center + k] = a * frame[center] + np.sqrt(1 - a * a) * frame[center + k]
+            edges.append((center, center + k))
+    edges += [(u, v) for u in range(12, 42) for v in range(u + 1, 42) if rng.random() < 0.15]
+    emb[12:] = rng.normal(size=(30, dim))
+    g = d.build_graph(edges, np.zeros((42, 2)), np.zeros(42, dtype=np.int64), 2)
+    return g, emb
+
+
 def test_build_contrast_groups_invariants():
     rng = np.random.default_rng(99)
+    cases = [(random_graph(rng, n=25, p=0.1), rng.normal(size=(25, 3)),
+              rng.choice(25, size=10, replace=False)) for _ in range(10)]
+    cases.append((*planted_cut_graph(np.random.default_rng(8)), np.arange(42)))
     cfg = d.DisamConfig(aux_samples=4)
-    for rep in range(10):
-        g = random_graph(rng, n=25, p=0.1)
-        emb = rng.normal(size=(25, 3))
-        nodes = rng.choice(25, size=10, replace=False)
+    for rep, (g, emb, nodes) in enumerate(cases):
         groups = d.build_contrast_groups(emb, g, nodes, cfg,
                                          np.random.default_rng(rep))
         for v, pools in groups.pools.items():
@@ -529,7 +555,7 @@ def per_node_contrast_groups(emb, g, nodes, cfg, rng):
     for v in np.asarray(nodes, dtype=np.int64).tolist():
         if g.neighbors(v).size == 0:
             continue
-        pos, neg = d.ambiguity._pools_for_node(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
+        pos, neg = neighbor_pools(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
         eligible = zn @ zn[v] >= cfg.aux_similarity_min
         eligible[v] = False
         eligible[g.neighbors(v)] = False
@@ -595,53 +621,6 @@ def test_blocked_builder_matches_per_node_oracle_at_d64(monkeypatch, block_elems
                 assert np.array_equal(pools.aux_pos, aux), f"aux pool of node {v}"
                 assert pools.pos.dtype == pools.neg.dtype == pools.aux_pos.dtype == np.int64
             assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def planted_cut_graph(rng, dim=64):
-    """Stars whose centers sit at the builder's exactness margin, plus a random graph.
-
-    Center 0's neighbors sit at cosines 0.9, 0.75*0.9 and 0.2, so one lies
-    on the positive cut of the default pos_ratio; center 4's at 0.9, 0.5 and
-    0.4*0.9, one on the negative cut; center 8's neighbors are orthogonal to
-    it, so its best similarity m is 0 up to rounding. Each neighbor is
-    a*e + sqrt(1 - a^2)*f in a random orthonormal frame, so every coordinate
-    is nonzero and the computed cosines land within a few ulps of a. Nodes
-    12..41 form a random graph with random embeddings.
-    """
-    frame = np.linalg.qr(rng.normal(size=(dim, dim)))[0].T
-    emb = np.zeros((42, dim))
-    edges = []
-    for center, cosines in [(0, (0.9, 0.75 * 0.9, 0.2)), (4, (0.9, 0.5, 0.4 * 0.9)),
-                            (8, (0.0, 0.0, 0.0))]:
-        emb[center] = frame[center]
-        for k, a in enumerate(cosines, start=1):
-            emb[center + k] = a * frame[center] + np.sqrt(1 - a * a) * frame[center + k]
-            edges.append((center, center + k))
-    edges += [(u, v) for u in range(12, 42) for v in range(u + 1, 42) if rng.random() < 0.15]
-    emb[12:] = rng.normal(size=(30, dim))
-    g = d.build_graph(edges, np.zeros((42, 2)), np.zeros(42, dtype=np.int64), 2)
-    return g, emb
-
-
-def test_nodes_at_the_exactness_margin_fall_back_to_the_per_node_pools(monkeypatch):
-    g, emb = planted_cut_graph(np.random.default_rng(8))
-    zn = T.row_l2_normalize(T.Tensor(emb)).values
-    nodes = np.array([v for v in range(42) if v not in (9, 10, 11)])  # center 8's leaves have m ~ 0 too
-    per_node = d.ambiguity._pools_for_node
-    fallbacks = []
-
-    def counted(zn, g, v, pos_ratio, neg_ratio):
-        fallbacks.append(v)
-        return per_node(zn, g, v, pos_ratio, neg_ratio)
-
-    monkeypatch.setattr(d.ambiguity, "_pools_for_node", counted)
-    cfg = d.DisamConfig()
-    groups = d.build_contrast_groups(emb, g, nodes, cfg, np.random.default_rng(0))
-    assert fallbacks == [0, 4, 8]
-    for v, pools in groups.pools.items():
-        pos, neg = per_node(zn, g, v, cfg.pos_ratio, cfg.neg_ratio)
-        assert np.array_equal(pools.pos, pos), f"pos pool of node {v}"
-        assert np.array_equal(pools.neg, neg), f"neg pool of node {v}"
 
 
 def test_build_groups_rejects_out_of_range_nodes():

@@ -385,6 +385,22 @@ def test_train_names_a_labels_file_it_cannot_parse(bundle, tmp_path, capsys):
     assert line.startswith(f"error: {labels}:3: ") and "'x'" in line, line
 
 
+@pytest.mark.parametrize("name, edit, reason", [
+    ("edges.tsv", lambda rows: rows + ["0\t999"], "edge (0, 999) has an endpoint outside the 75 nodes"),
+    ("labels.csv", lambda rows: rows[:-1], "74 labels for the 75 rows of features.csv"),
+], ids=["edge-outside", "labels-short"])
+def test_train_names_the_bundle_file_that_disagrees_with_the_features(
+        bundle, tmp_path, capsys, name, edit, reason):
+    broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
+    path = os.path.join(broken, name)
+    rows = read_bytes(path).decode().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(rows)) + "\n")
+    capsys.readouterr()
+    assert run_train(broken, tmp_path / "out") == 1
+    assert single_error_line(capsys) == f"error: {path}: {reason}"
+
+
 def test_analyze_rejects_an_ambiguity_file_with_a_duplicate_row(trained, bundle, tmp_path, capsys):
     rows = read_bytes(os.path.join(trained, "seed_0", "ambiguity.csv")).decode().splitlines()
     bad = tmp_path / "ambiguity.csv"

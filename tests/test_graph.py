@@ -191,3 +191,33 @@ def test_split_masks_validation():
     with pytest.raises(ValueError):
         d.SplitMasks(train=np.array([-1]), val=np.array([2]),
                      test=np.array([3]))
+
+
+def _star():
+    return d.build_graph([(0, 1), (0, 2), (0, 3), (0, 4)], np.zeros((5, 2)),
+                         np.array([0, 0, 1, 1, 0]), 2)
+
+
+INDEX_TAKERS = {
+    "SplitMasks": lambda ids: d.SplitMasks(train=ids, val=[3], test=[4]),
+    "accuracy": lambda ids: d.accuracy([0, 1, 1], [0, 0, 1], ids),
+    "cross_entropy_loss": lambda ids: d.cross_entropy_loss(
+        d.Tensor(np.zeros((3, 2))), [0, 0, 1], ids),
+    "group_report": lambda ids: d.group_report(
+        d.strategy1_groups(_star()), np.zeros(5, int), np.zeros(5, int), np.zeros(5), ids),
+    "build_contrast_groups": lambda ids: d.build_contrast_groups(
+        np.eye(5), _star(), ids, d.DisamConfig(), np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("take", INDEX_TAKERS.values(), ids=INDEX_TAKERS.keys())
+def test_index_arrays_must_have_an_integer_dtype(take):
+    # A boolean mask read as ids names nodes 1, 0, 1; float ids truncate.
+    for ids in ([True, False, True], np.array([1.7, 2.2])):
+        with pytest.raises(ValueError, match="integer node indices"):
+            take(ids)
+    take([0, 1, 2])
+
+
+def test_an_empty_index_list_is_allowed_though_numpy_reads_it_as_float():
+    assert d.SplitMasks(train=[], val=[3], test=[4]).train.dtype == np.int64
