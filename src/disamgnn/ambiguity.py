@@ -223,13 +223,9 @@ def build_contrast_groups(
     Both pool kinds are read from that product, so a similarity lying on a
     cut point is decided by its bits, as for the auxiliary threshold.
     """
-    emb, nodes = np.asarray(embeddings, dtype=np.float64), _node_index(nodes, "nodes")
+    emb, nodes = np.asarray(embeddings, dtype=np.float64), _node_index(nodes, "nodes", g.num_nodes)
     if emb.ndim != 2 or emb.shape[0] != g.num_nodes:
         raise ValueError(f"embeddings must be 2-D with {g.num_nodes} rows, got shape {emb.shape}")
-    if nodes.ndim != 1:
-        raise ValueError(f"nodes must be 1-D, got shape {nodes.shape}")
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= g.num_nodes):
-        raise IndexError(f"node index out of range for {g.num_nodes} nodes")
     if _sorted_unique(nodes).size != nodes.size:
         raise ValueError("nodes must not repeat")
     nodes = nodes[g.degrees()[nodes] > 0]

@@ -200,6 +200,9 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
     outside = edges[((edges < 0) | (edges >= n)).any(axis=1)].tolist()
     if outside:
         raise ValueError(f"{p('edges.tsv')}: edge {tuple(outside[0])} has an endpoint outside the {n} nodes")
+    bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"{p('features.csv')}: row {bad_rows[0] + 1} holds a non-finite value")
 
     num_classes = None
     meta_path = os.path.join(path, "meta.json")
@@ -208,12 +211,19 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
         num_classes = meta.get("num_classes")
         if isinstance(num_classes, bool) or not isinstance(num_classes, (int, type(None))):
             raise ValueError(f"{meta_path}: 'num_classes' must be of type int, got {num_classes!r}")
+        if num_classes is not None and num_classes < 2:
+            raise ValueError(f"{meta_path}: 'num_classes' is {num_classes}, graphs need at least 2")
         for key, actual in (
             ("num_nodes", features.shape[0]),
             ("num_features", features.shape[1]),
         ):
             if key in meta and meta[key] != actual:
                 raise ValueError(f"{meta_path}: {key}={meta[key]} but files say {actual}")
+    bound = num_classes if num_classes is not None else labels.max() + 1
+    bad_rows = np.flatnonzero((labels < 0) | (labels >= bound))
+    if bad_rows.size:
+        r = bad_rows[0]
+        raise ValueError(f"{p('labels.csv')}: row {r + 1} has label {labels[r]}, outside [0, {bound})")
 
     g = build_graph(edges, features, labels, num_classes=num_classes)
 
@@ -286,19 +296,11 @@ _TRAIN_FRACTION, _VAL_FRACTION = 0.05, 0.1  # the test split gets the rest
 
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     base = np.floor(quotas).astype(np.int64)
+    # ≥ 0: Σ⌊f·cᵢ⌋ ≤ ⌊f·n⌋ ≤ round(f·n); float64 0.05, 0.1 exceed the reals, so floors are exact
     leftover = total - int(base.sum())
-    if leftover > 0:
-        # Stable tie-break: larger remainder first, then lower class index.
-        order = np.lexsort((np.arange(quotas.size), -(quotas - base)))
-        base[order[:leftover]] += 1
-    elif leftover < 0:
-        order = np.lexsort((np.arange(quotas.size), quotas - base))
-        for i in order:
-            if leftover == 0:
-                break
-            if base[i] > 0:
-                base[i] -= 1
-                leftover += 1
+    # Stable tie-break: larger remainder first, then lower class index.
+    order = np.lexsort((np.arange(quotas.size), -(quotas - base)))
+    base[order[:leftover]] += 1
     return base
 
 
@@ -332,11 +334,7 @@ def make_split(g: Graph, rng: np.random.Generator) -> SplitMasks:
             train_alloc[donor] -= 1
             train_alloc[c] += 1
     val_alloc = _largest_remainder(_VAL_FRACTION * class_counts, n_val)
-    # Never allocate beyond what remains after train.
-    for c in range(g.num_classes):
-        room = class_counts[c] - train_alloc[c]
-        if val_alloc[c] > room:
-            val_alloc[c] = room
+    val_alloc = np.minimum(val_alloc, class_counts - train_alloc)  # never beyond what train left
     shortfall = n_val - int(val_alloc.sum())
     if shortfall > 0:
         room = class_counts - train_alloc - val_alloc
@@ -575,20 +573,22 @@ def load_checkpoint(base_path: str) -> ModelParams:
                 f"{path}: entry {i} is {got}, the {params.backbone} layout expects {want}"
             )
     total = field("total_bytes", int)
+    need = sum(t.values.nbytes for t in params.params.values())
     with open(base_path + ".bin", "rb") as fh:
         blob = fh.read()
-    if len(blob) != total:
-        raise ValueError(f"checkpoint blob is {len(blob)} bytes, manifest says {total}")
+    if len(blob) != need or total != need:
+        raise ValueError(
+            f"{base_path}.bin is {len(blob)} bytes and the manifest's total_bytes is {total}, "
+            f"the {params.backbone} layout needs {need}"
+        )
     offset = 0
     for entry, (name, t) in zip(entries, params.params.items()):
-        if entry.get("offset") != offset or offset + t.values.nbytes > len(blob):
-            raise ValueError(f"corrupt checkpoint entry {name!r}")
+        if entry.get("offset") != offset:
+            raise ValueError(f"{path}: entry {name!r} is at offset {entry.get('offset')!r}, not {offset}")
         t.values[...] = np.frombuffer(
             blob, dtype=_CKPT_DTYPE, count=t.values.size, offset=offset
         ).reshape(t.shape)
         offset += t.values.nbytes
-    if offset != len(blob):
-        raise ValueError("checkpoint blob has trailing bytes not covered by entries")
     return params
 
 

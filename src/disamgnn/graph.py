@@ -39,12 +39,17 @@ def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
 
 
-def _node_index(values, what: str) -> np.ndarray:
-    """``values`` as int64 node ids; a non-empty bool or float array fails, not read as ids."""
+def _node_index(values, what: str, n: int | None = None) -> np.ndarray:
+    """``values`` as 1-D int64 node ids, in [0, n) when ``n`` is given; bool or float ids fail."""
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must hold integer node indices, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
+    arr = arr.astype(np.int64, copy=False)
+    if n is not None and arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise IndexError(f"{what} holds a node index outside [0, {n})")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class SplitMasks:
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
-            raw = _node_index(getattr(self, name), f"{name} mask").ravel()
+            raw = _node_index(getattr(self, name), f"{name} mask")
             arr = _sorted_unique(raw)
             if arr.size != raw.size:
                 raise ValueError(f"{name} mask contains duplicate node indices")

@@ -27,11 +27,9 @@ __all__ = [
 
 
 def _mask_index(mask, n: int) -> np.ndarray:
-    idx = _node_index(mask, "metric mask")
+    idx = _node_index(mask, "metric mask", n)
     if idx.size == 0:
         raise ValueError("metric mask is empty")
-    if idx.min() < 0 or idx.max() >= n:
-        raise IndexError("mask index out of range")
     return idx
 
 

@@ -272,11 +272,9 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
     """
     logits = output.logits if isinstance(output, ForwardOutput) else output
     labels = np.asarray(labels, dtype=np.int64)
-    idx = _node_index(mask, "cross_entropy_loss mask")
+    idx = _node_index(mask, "cross_entropy_loss mask", logits.shape[0])
     if idx.size == 0:
         raise ValueError("cross_entropy_loss needs a non-empty mask")
-    if idx.min() < 0 or idx.max() >= logits.shape[0]:
-        raise IndexError("mask index out of range")
     truth = labels[idx]
     if truth.min() < 0 or truth.max() >= logits.shape[1]:
         raise IndexError("class index out of range")

@@ -138,7 +138,7 @@ def group_report(
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
-    idx = _node_index(mask, "group_report mask")
+    idx = _node_index(mask, "group_report mask", groups.group_ids.size)
 
     def row(label: str, members: np.ndarray) -> dict:
         count = int(members.size)

@@ -73,11 +73,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            g = np.array(g, dtype=np.float64, order="C")
-        self._take_grad(g)
-
     def _take_grad(self, g: np.ndarray) -> None:
         # g must be a fresh C-contiguous float64 array that no one else holds:
         # it becomes this tensor's grad, which relu's backward writes into.
@@ -196,7 +191,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             if bias:
                 b._take_grad(g.sum(axis=0, keepdims=True))
             elif a.requires_grad:
-                b.accumulate_grad(g)
+                b._take_grad(g.copy())
             else:
                 b._take_grad(g)
         if a.requires_grad:
@@ -284,9 +279,9 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         if a.requires_grad:
-            a.accumulate_grad(g[:, :split])
+            a._take_grad(g[:, :split].copy())
         if b.requires_grad:
-            b.accumulate_grad(g[:, split:])
+            b._take_grad(g[:, split:].copy())
 
     return _result(vals, (a, b), grad_fn)
 

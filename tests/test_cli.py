@@ -388,7 +388,10 @@ def test_train_names_a_labels_file_it_cannot_parse(bundle, tmp_path, capsys):
 @pytest.mark.parametrize("name, edit, reason", [
     ("edges.tsv", lambda rows: rows + ["0\t999"], "edge (0, 999) has an endpoint outside the 75 nodes"),
     ("labels.csv", lambda rows: rows[:-1], "74 labels for the 75 rows of features.csv"),
-], ids=["edge-outside", "labels-short"])
+    ("features.csv", lambda rows: rows[:4] + ["nan" + rows[4][rows[4].index(","):]] + rows[5:],
+     "row 5 holds a non-finite value"),
+    ("labels.csv", lambda rows: rows[:9] + ["7"] + rows[10:], "row 10 has label 7, outside [0, 3)"),
+], ids=["edge-outside", "labels-short", "features-nan", "label-beyond-classes"])
 def test_train_names_the_bundle_file_that_disagrees_with_the_features(
         bundle, tmp_path, capsys, name, edit, reason):
     broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
@@ -399,6 +402,19 @@ def test_train_names_the_bundle_file_that_disagrees_with_the_features(
     capsys.readouterr()
     assert run_train(broken, tmp_path / "out") == 1
     assert single_error_line(capsys) == f"error: {path}: {reason}"
+
+
+@pytest.mark.parametrize("edit", [lambda blob: blob[:-8], lambda blob: blob + bytes(8)],
+                         ids=["truncated", "extended"])
+def test_analyze_names_a_checkpoint_blob_of_the_wrong_size(trained, bundle, tmp_path, capsys, edit):
+    base = tmp_path / "checkpoint"
+    edited_checkpoint(trained, base, lambda manifest: None)
+    blob = tmp_path / "checkpoint.bin"
+    blob.write_bytes(edit(blob.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(analyze_argv(trained, bundle, base, tmp_path / "r")) == 1
+    line = single_error_line(capsys)
+    assert f"{base}.bin" in line, line
 
 
 def test_analyze_rejects_an_ambiguity_file_with_a_duplicate_row(trained, bundle, tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_bundle_error_cases(tmp_path):
     with pytest.raises(ValueError):
         d.load_bundle(path)
 
-    for value in ("2", 2.0, True):
+    for value in ("2", 2.0, True, 1):
         path = str(tmp_path / f"num-classes-{value!r}")
         write_minimal_bundle(path)
         with open(os.path.join(path, "meta.json"), "w") as fh:

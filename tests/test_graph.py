@@ -219,5 +219,24 @@ def test_index_arrays_must_have_an_integer_dtype(take):
     take([0, 1, 2])
 
 
+@pytest.mark.parametrize("take", INDEX_TAKERS.values(), ids=INDEX_TAKERS.keys())
+def test_index_arrays_must_be_one_dimensional(take):
+    with pytest.raises(ValueError, match="1-D"):
+        take([[0, 1]])
+
+
+# Node count per taker; SplitMasks has no graph to bound its ids by.
+NODE_COUNTS = {"accuracy": 3, "cross_entropy_loss": 3, "group_report": 5, "build_contrast_groups": 5}
+
+
+@pytest.mark.parametrize("name", [name for name in INDEX_TAKERS if name != "SplitMasks"])
+def test_index_arrays_must_name_nodes_of_the_graph(name):
+    # -1 would wrap around to the last node rather than fail
+    n = NODE_COUNTS[name]
+    for ids in ([-1], [n]):
+        with pytest.raises(IndexError, match=rf"outside \[0, {n}\)"):
+            INDEX_TAKERS[name](ids)
+
+
 def test_an_empty_index_list_is_allowed_though_numpy_reads_it_as_float():
     assert d.SplitMasks(train=[], val=[3], test=[4]).train.dtype == np.int64
