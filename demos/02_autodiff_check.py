@@ -19,7 +19,6 @@ from disamgnn.tensor import (
     relu,
     row_l2_normalize,
     softmax_rows,
-    weighted_sum,
 )
 
 # Contrast pairs as the model's regularizer compiles them: anchors ascending,
@@ -38,7 +37,8 @@ def build_loss(tensors, readout):
     out = matmul(h, w2)
     z = row_l2_normalize(out)                 # unit rows: pair dots are cosines
     contrast = pair_softplus(z, LEFT, RIGHT, SIGNS, WEIGHTS)
-    return add(contrast, weighted_sum(softmax_rows(out), readout))
+    mass = matmul(Tensor(np.ones((1, out.shape[0]))), softmax_rows(out))  # (1, classes)
+    return add(contrast, matmul(mass, readout))
 
 
 def central_difference(tensors, readout, param, i, j, h=1e-5):
@@ -61,7 +61,7 @@ def main() -> None:
     w1 = Tensor(rng.normal(scale=0.7, size=(4, 6)), requires_grad=True)
     b1 = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
     w2 = Tensor(rng.normal(scale=0.7, size=(6, 3)), requires_grad=True)
-    readout = rng.normal(size=(5, 3))  # softmax rows sum to 1: weight them unevenly
+    readout = Tensor(rng.normal(size=(3, 1)))  # softmax rows sum to 1: weight classes unevenly
     tensors = [x, w1, b1, w2]
 
     pre = add(matmul(x, w1), b1)

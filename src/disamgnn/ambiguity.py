@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _node_index, _sorted_unique
+from .graph import Graph, _node_index, _node_rows, _sorted_unique
 from .tensor import Tensor, pair_softplus, row_l2_normalize
 
 __all__ = [
@@ -223,9 +223,8 @@ def build_contrast_groups(
     Both pool kinds are read from that product, so a similarity lying on a
     cut point is decided by its bits, as for the auxiliary threshold.
     """
-    emb, nodes = np.asarray(embeddings, dtype=np.float64), _node_index(nodes, "nodes", g.num_nodes)
-    if emb.ndim != 2 or emb.shape[0] != g.num_nodes:
-        raise ValueError(f"embeddings must be 2-D with {g.num_nodes} rows, got shape {emb.shape}")
+    emb = _node_rows(np.asarray(embeddings, dtype=np.float64), "embeddings", g.num_nodes, 2)
+    nodes = _node_index(nodes, "nodes", g.num_nodes)
     if _sorted_unique(nodes).size != nodes.size:
         raise ValueError("nodes must not repeat")
     nodes = nodes[g.degrees()[nodes] > 0]

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import data as dataio
-from .graph import Graph, SplitMasks
+from .graph import Graph, SplitMasks, _node_rows
 from .ambiguity import DisamConfig
 from .metrics import metrics_report
 from .models import BACKBONES, forward
@@ -174,11 +174,7 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"--split-seed must be >= 0, got {args.split_seed}")
     g, bundle_masks = resolve_dataset(args.dataset)
     params = dataio.load_checkpoint(args.checkpoint)
-    scores, _flags = dataio.read_ambiguity_csv(args.ambiguity)
-    if scores.shape[0] != g.num_nodes:
-        raise ValueError(
-            f"ambiguity file covers {scores.shape[0]} nodes, graph has {g.num_nodes}"
-        )
+    scores = _node_rows(dataio.read_ambiguity_csv(args.ambiguity)[0], args.ambiguity, g.num_nodes, 1)
     split_seed = args.split_seed
     if bundle_masks is None and split_seed is None:
         split_seed = dataio.checkpoint_split_seed(args.checkpoint)

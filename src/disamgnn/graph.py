@@ -52,6 +52,29 @@ def _node_index(values, what: str, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _node_mask(values, what: str, n: int) -> np.ndarray:
+    """``_node_index(values, what, n)``, which must not be empty."""
+    idx = _node_index(values, what, n)
+    if idx.size == 0:
+        raise ValueError(f"{what} is empty")
+    return idx
+
+
+def _node_rows(arr: np.ndarray, what: str, n: int, ndim: int) -> np.ndarray:
+    """``arr`` itself when it is ``ndim``-D with one row per node; reads only the shape."""
+    if arr.ndim != ndim or arr.shape[0] != n:
+        raise ValueError(f"{what} must be {ndim}-D with {n} rows (one per node), got shape {arr.shape}")
+    return arr
+
+
+def _class_ids(ids: np.ndarray, what: str, num_classes: int) -> np.ndarray:
+    """``ids`` itself when every entry is a class index in [0, num_classes)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= num_classes):
+        bad = ids[(ids < 0) | (ids >= num_classes)][0]
+        raise IndexError(f"{what} holds class index {bad} outside [0, {num_classes})")
+    return ids
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph in CSR form.

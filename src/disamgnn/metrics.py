@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _node_index
+from .graph import _class_ids, _node_mask, _node_rows
 
 __all__ = [
     "MetricsReport",
@@ -26,29 +26,21 @@ __all__ = [
 ]
 
 
-def _mask_index(mask, n: int) -> np.ndarray:
-    idx = _node_index(mask, "metric mask", n)
-    if idx.size == 0:
-        raise ValueError("metric mask is empty")
-    return idx
-
-
 def confusion_matrix(preds, labels, mask, num_classes: int) -> np.ndarray:
     """(num_classes, num_classes) counts; rows are true class, cols predicted."""
-    preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    idx = _mask_index(mask, labels.shape[0])
-    truth, pred = labels[idx], preds[idx]
-    if min(truth.min(), pred.min()) < 0 or max(truth.max(), pred.max()) >= num_classes:
-        raise IndexError("class index out of range")
+    preds = _node_rows(np.asarray(preds, dtype=np.int64), "preds", labels.shape[0], 1)
+    idx = _node_mask(mask, "metric mask", labels.shape[0])
+    truth = _class_ids(labels[idx], "labels", num_classes)
+    pred = _class_ids(preds[idx], "preds", num_classes)
     cells = np.bincount(truth * num_classes + pred, minlength=num_classes * num_classes)
     return cells.reshape(num_classes, num_classes)
 
 
 def accuracy(preds, labels, mask) -> float:
-    preds = np.asarray(preds)
     labels = np.asarray(labels)
-    idx = _mask_index(mask, labels.shape[0])
+    preds = _node_rows(np.asarray(preds), "preds", labels.shape[0], 1)
+    idx = _node_mask(mask, "metric mask", labels.shape[0])
     return float(np.mean(preds[idx] == labels[idx]))
 
 
@@ -88,10 +80,10 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 def macro_auroc(class_probs, labels, mask) -> float:
     """Mean one-vs-rest AUROC over classes scorable inside the mask."""
-    probs = np.asarray(class_probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    idx = _mask_index(mask, labels.shape[0])
-    sub_labels = labels[idx]
+    probs = _node_rows(np.asarray(class_probs, dtype=np.float64), "class_probs", labels.shape[0], 2)
+    idx = _node_mask(mask, "metric mask", labels.shape[0])
+    sub_labels = _class_ids(labels[idx], "labels", probs.shape[1])
     aucs = []
     for c in range(probs.shape[1]):
         pos = sub_labels == c

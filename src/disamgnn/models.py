@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, _node_index
+from .graph import Graph, _class_ids, _node_mask, _node_rows
 from .tensor import (
     Tensor,
     _result,
@@ -271,13 +271,9 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
     (softmax - onehot) / count on masked rows.
     """
     logits = output.logits if isinstance(output, ForwardOutput) else output
-    labels = np.asarray(labels, dtype=np.int64)
-    idx = _node_index(mask, "cross_entropy_loss mask", logits.shape[0])
-    if idx.size == 0:
-        raise ValueError("cross_entropy_loss needs a non-empty mask")
-    truth = labels[idx]
-    if truth.min() < 0 or truth.max() >= logits.shape[1]:
-        raise IndexError("class index out of range")
+    labels = _node_rows(np.asarray(labels, dtype=np.int64), "labels", logits.shape[0], 1)
+    idx = _node_mask(mask, "cross_entropy_loss mask", logits.shape[0])
+    truth = _class_ids(labels[idx], "labels", logits.shape[1])
 
     rows = logits.values[idx]
     shifted = rows - _row_max(rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _node_index, node_homophily_vector
+from .graph import Graph, _class_ids, _node_index, _node_rows, node_homophily_vector
 
 __all__ = [
     "TIER_NAMES",
@@ -63,7 +63,8 @@ def class_size_tiers(labels, num_classes: int) -> np.ndarray:
     members, upper-inclusive. With zero spread every class is Majority.
     Empty classes are binned too but never matter (no node carries them).
     """
-    counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=num_classes)
+    labels = _class_ids(np.asarray(labels, dtype=np.int64), "labels", num_classes)
+    counts = np.bincount(labels, minlength=num_classes)
     present = counts > 0
     if not present.any():
         raise ValueError("no labeled nodes to tier")
@@ -80,16 +81,21 @@ def class_size_tiers(labels, num_classes: int) -> np.ndarray:
     return tiers.astype(np.int64)
 
 
-def strategy1_groups(g: Graph) -> NodeGroups:
-    """Class-frequency tier x {Same-class, Minor-class, Others}; 9 groups."""
+def _neighbor_tiers(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tier per class, node homophily, (n, 3) count of each node's neighbors per tier)."""
     tiers = class_size_tiers(g.labels, g.num_classes)
-    hom = node_homophily_vector(g)
     arc_src = np.repeat(np.arange(g.num_nodes), g.degrees())
     arc_tier = tiers[g.labels[g.csr_targets]]
     counts = np.bincount(arc_src * 3 + arc_tier, minlength=3 * g.num_nodes).reshape(-1, 3)
+    return tiers, node_homophily_vector(g), counts
+
+
+def strategy1_groups(g: Graph) -> NodeGroups:
+    """Class-frequency tier x {Same-class, Minor-class, Others}; 9 groups."""
+    tiers, hom, nbr = _neighbor_tiers(g)
     # Strict plurality of Minority-tier neighbors; ties go to Others.
-    minor = (counts[:, TIER_MINORITY] > counts[:, TIER_MIDDLE]) & (
-        counts[:, TIER_MINORITY] > counts[:, TIER_MAJORITY]
+    minor = (nbr[:, TIER_MINORITY] > nbr[:, TIER_MIDDLE]) & (
+        nbr[:, TIER_MINORITY] > nbr[:, TIER_MAJORITY]
     )
     sub = np.where(hom >= HOMOPHILY_CUT, 0, np.where(minor, 1, 2))
     ids = tiers[g.labels] * 3 + sub
@@ -102,15 +108,10 @@ def strategy1_groups(g: Graph) -> NodeGroups:
 
 def strategy2_groups(g: Graph) -> NodeGroups:
     """Minority adjacency x homophily level; isolated nodes excluded."""
-    tiers = class_size_tiers(g.labels, g.num_classes)
-    minority_class = tiers == TIER_MINORITY
-    hom = node_homophily_vector(g)
-    deg = g.degrees()
-    arc_src = np.repeat(np.arange(g.num_nodes), deg)
-    minority_arc = minority_class[g.labels[g.csr_targets]]
-    adjacent = np.bincount(arc_src[minority_arc], minlength=g.num_nodes) > 0
+    _, hom, nbr = _neighbor_tiers(g)
+    adjacent = nbr[:, TIER_MINORITY] > 0
     high = hom >= HOMOPHILY_CUT
-    ids = np.where(deg == 0, -1, np.where(adjacent, 0, 2) + high)
+    ids = np.where(g.degrees() == 0, -1, np.where(adjacent, 0, 2) + high)
     labels = (
         "AdjMinority/LowHom",
         "AdjMinority/HighHom",
@@ -135,10 +136,11 @@ def group_report(
     Empty groups appear with count 0 and NaN statistics. When the grouping
     excludes nodes, a residual row is appended under its excluded_label.
     """
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    idx = _node_index(mask, "group_report mask", groups.group_ids.size)
+    n = groups.group_ids.size
+    preds = _node_rows(np.asarray(preds, dtype=np.int64), "preds", n, 1)
+    labels = _node_rows(np.asarray(labels, dtype=np.int64), "labels", n, 1)
+    scores = _node_rows(np.asarray(scores, dtype=np.float64), "scores", n, 1)
+    idx = _node_index(mask, "group_report mask", n)
 
     def row(label: str, members: np.ndarray) -> dict:
         count = int(members.size)

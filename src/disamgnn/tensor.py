@@ -7,9 +7,9 @@ hands each node's gradient to that node's op once and then drops it, so
 only leaves (tensors no op produced) keep and accumulate ``.grad``.
 
 The op set is deliberately closed: matmul, linear, spmm, add, relu,
-scalar_mul, row_l2_normalize, softmax_rows, concat_cols, weighted_sum,
-pair_softplus, dropout. Each one has a finite-difference test;
-weighted_sum is the scalar readout those tests differentiate through.
+scalar_mul, row_l2_normalize, softmax_rows, concat_cols, pair_softplus,
+dropout. Each one has a finite-difference test; the scalar readout those
+tests differentiate through, ``weighted_sum``, lives in tests/oracles.py.
 ``spmm(s, x)`` takes ``s`` as a scipy sparse array, a constant of the tape.
 """
 
@@ -30,7 +30,6 @@ __all__ = [
     "row_l2_normalize",
     "softmax_rows",
     "concat_cols",
-    "weighted_sum",
     "pair_softplus",
     "dropout",
 ]
@@ -293,20 +292,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def weighted_sum(x: Tensor, w) -> Tensor:
-    """Scalar sum(x * w) for a constant weight array shaped like x."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != x.shape:
-        raise ValueError(f"weighted_sum weight shape {w.shape} != {x.shape}")
-    vals = np.array([[np.sum(x.values * w)]])
-
-    def grad_fn(g):
-        if x.requires_grad:
-            x._take_grad(g[0, 0] * w)
-
-    return _result(vals, (x,), grad_fn)
 
 
 def pair_softplus(x: Tensor, left, right, signs, weights) -> Tensor:

@@ -172,7 +172,7 @@ def train(
                 cache=cache,
             )
         ce = cross_entropy_loss(out, g.labels, masks.train)
-        if dc.loss_weight > 0 and groups is not None and len(groups):
+        if groups:
             contrast = jsd_contrast_loss(out.embeddings, groups)
             total = add(ce, scalar_mul(Tensor(dc.loss_weight), contrast))
             contrast_val = contrast.item()

