@@ -11,6 +11,7 @@ embeddings) into a scalar and confirms the analytic gradients against
 import numpy as np
 
 from disamgnn.tensor import (
+    PairPlan,
     Tensor,
     add,
     backward,
@@ -23,11 +24,14 @@ from disamgnn.tensor import (
 
 # Contrast pairs as the model's regularizer compiles them: anchors ascending,
 # sign -1 pulls a positive closer, +1 pushes a negative away, and each pair
-# is weighted by one over its pool's size.
-LEFT = [0, 0, 0, 2, 3]
-RIGHT = [1, 4, 3, 0, 1]
-SIGNS = [-1.0, -1.0, 1.0, 1.0, -1.0]
-WEIGHTS = [0.5, 0.5, 1.0, 1.0, 1.0]
+# is weighted by one over its pool's size. The plan checks the pairs once, for
+# every call; a pair and its mirror would share one dot product.
+PAIRS = PairPlan(
+    left=[0, 0, 0, 2, 3],
+    right=[1, 4, 3, 0, 1],
+    signs=[-1.0, -1.0, 1.0, 1.0, -1.0],
+    weights=[0.5, 0.5, 1.0, 1.0, 1.0],
+)
 
 
 def build_loss(tensors, readout):
@@ -36,7 +40,7 @@ def build_loss(tensors, readout):
     h = relu(add(matmul(x, w1), b1))          # (n, hidden), bias broadcast
     out = matmul(h, w2)
     z = row_l2_normalize(out)                 # unit rows: pair dots are cosines
-    contrast = pair_softplus(z, LEFT, RIGHT, SIGNS, WEIGHTS)
+    contrast = pair_softplus(z, PAIRS)
     mass = matmul(Tensor(np.ones((1, out.shape[0]))), softmax_rows(out))  # (1, classes)
     return add(contrast, matmul(mass, readout))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _node_index, _node_rows, _sorted_unique
-from .tensor import Tensor, pair_softplus, row_l2_normalize
+from .tensor import PairPlan, Tensor, pair_softplus, row_l2_normalize
 
 __all__ = [
     "DisamConfig",
@@ -159,24 +159,24 @@ class NodePools:
 class ContrastGroups:
     """Positive/negative/auxiliary pools for each selected node.
 
-    ``pairs()`` compiles the pools into flat pair arrays on first use and
-    keeps them, so pools must not change after the loss has seen them.
+    ``pairs()`` compiles the pools into one read-only ``PairPlan`` on first
+    use and keeps it, so pools must not change after the loss has seen them.
     """
 
     pools: dict[int, NodePools] = field(default_factory=dict)
-    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _pairs: PairPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pools)
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(left, right, signs, weights) of every contrast pair, as ``pair_softplus`` takes them."""
+    def pairs(self) -> PairPlan:
+        """Every contrast pair as the ``PairPlan`` that ``pair_softplus`` takes, compiled once."""
         if self._pairs is None:
             self._pairs = _compile_pairs(self.pools)
         return self._pairs
 
 
-def _compile_pairs(pools: dict[int, NodePools]):
+def _compile_pairs(pools: dict[int, NodePools]) -> PairPlan:
     """Flatten pools into pairs: anchors ascending, then pos, aux_pos, neg.
 
     Positives (neighbor and auxiliary pooled) carry sign -1 and negatives
@@ -186,10 +186,9 @@ def _compile_pairs(pools: dict[int, NodePools]):
     parts = [a for v in anchors for a in (pools[v].pos, pools[v].aux_pos, pools[v].neg)]
     sizes = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)).reshape(-1, 3)
     sizes = np.stack((sizes[:, 0] + sizes[:, 1], sizes[:, 2]), axis=1).ravel()  # pos, neg per anchor
-    right = np.concatenate(parts) if parts else np.empty(0)
-    return (
+    return PairPlan(
         np.repeat(np.repeat(np.asarray(anchors, dtype=np.int64), 2), sizes),
-        right.astype(np.int64),
+        np.concatenate(parts) if parts else [],
         np.repeat(np.tile([-1.0, 1.0], len(anchors)), sizes),
         np.repeat(1.0 / np.maximum(sizes, 1), sizes),
     )
@@ -266,7 +265,7 @@ def jsd_contrast_loss(embeddings: Tensor, groups: ContrastGroups) -> Tensor:
     ones) of softplus(-sim) plus mean over negatives of softplus(sim).
     Empty pools contribute nothing. Gradients reach both pair endpoints.
     """
-    left, right, signs, weights = groups.pairs()
-    if not left.size:
+    plan = groups.pairs()
+    if not plan.left.size:
         return Tensor(np.zeros((1, 1)))
-    return pair_softplus(row_l2_normalize(embeddings), left, right, signs, weights)
+    return pair_softplus(row_l2_normalize(embeddings), plan)

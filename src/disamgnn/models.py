@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, _class_ids, _node_mask, _node_rows
+from .graph import Graph, _class_ids, _node_mask, _node_rows, _sorted_unique
 from .tensor import (
     Tensor,
     _result,
@@ -268,11 +268,13 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
 
     ``output`` may be a ForwardOutput or a raw logits Tensor. Computed via a
     numerically stable log-softmax; the gradient is the classic
-    (softmax - onehot) / count on masked rows.
+    (softmax - onehot) / count on masked rows. ``mask`` names distinct nodes.
     """
     logits = output.logits if isinstance(output, ForwardOutput) else output
     labels = _node_rows(np.asarray(labels, dtype=np.int64), "labels", logits.shape[0], 1)
     idx = _node_mask(mask, "cross_entropy_loss mask", logits.shape[0])
+    if _sorted_unique(idx).size != idx.size:
+        raise ValueError("cross_entropy_loss mask repeats a node")
     truth = _class_ids(labels[idx], "labels", logits.shape[1])
 
     rows = logits.values[idx]
@@ -287,7 +289,7 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
             soft = np.exp(log_probs)
             soft[np.arange(idx.size), truth] -= 1.0
             gx = np.zeros(logits.shape)
-            np.add.at(gx, idx, soft / idx.size)
+            gx[idx] = soft / idx.size  # ids are distinct, and no entry is -0.0
             gx *= g[0, 0]
             logits._take_grad(gx)
 

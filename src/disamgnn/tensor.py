@@ -10,7 +10,8 @@ The op set is deliberately closed: matmul, linear, spmm, add, relu,
 scalar_mul, row_l2_normalize, softmax_rows, concat_cols, pair_softplus,
 dropout. Each one has a finite-difference test; the scalar readout those
 tests differentiate through, ``weighted_sum``, lives in tests/oracles.py.
-``spmm(s, x)`` takes ``s`` as a scipy sparse array, a constant of the tape.
+``spmm(s, x)`` takes ``s`` as a scipy sparse array and ``pair_softplus(x, plan)``
+its pairs as a ``PairPlan``, checked once: both are constants of the tape.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "softmax_rows",
     "concat_cols",
     "pair_softplus",
+    "PairPlan",
     "dropout",
 ]
 
@@ -285,52 +287,64 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _result(vals, (a, b), grad_fn)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+class PairPlan:
+    """Contrast pairs for ``pair_softplus``: four aligned 1-D arrays, checked and frozen once.
+
+    ``left`` is non-decreasing and no index negative; a pair and its mirror share one key."""
+
+    def __init__(self, left, right, signs, weights):
+        left, right = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+        signs, weights = np.array(signs, dtype=np.float64), np.array(weights, dtype=np.float64)
+        if left.ndim != 1 or any(a.shape != left.shape for a in (right, signs, weights)):
+            raise ValueError("pair_softplus takes four aligned 1-D arrays")
+        if left.size and min(left[0], right.min()) < 0:
+            raise IndexError("pair_softplus index out of range")
+        if np.any(left[1:] < left[:-1]):
+            raise ValueError("pair_softplus needs pairs sorted by left index")
+        self.max_index = int(max(left[-1], right.max())) if left.size else -1
+        span = self.max_index + 1
+        keys, self._inv = np.unique(np.minimum(left, right) * span + np.maximum(left, right),
+                                    return_inverse=True)
+        self._lo, self._hi = np.divmod(keys, span)
+        self.left, self.right, self.signs, self.weights = left, right, signs, weights
+        for a in (left, right, signs, weights, self._inv, self._lo, self._hi):
+            a.flags.writeable = False
 
 
-def pair_softplus(x: Tensor, left, right, signs, weights) -> Tensor:
-    """Scalar sum_k weights[k] * softplus(signs[k] * <x[left[k]], x[right[k]]>).
+def pair_softplus(x: Tensor, plan: PairPlan) -> Tensor:
+    """Scalar sum_k weights[k] * softplus(signs[k] * <x[left[k]], x[right[k]]>) over ``plan``.
 
-    ``left`` must be non-decreasing. The gradient is C @ x + C.T @ x with
+    Each unordered pair's dot is computed once, with the bits of its mirror's:
+    products commute and rows sum in one order. The gradient is C @ x + C.T @ x with
     C[left[k], right[k]] = g * weights[k] * signs[k] * sigmoid(signs[k] * sim_k),
     so pairs in ``left`` order already are C's CSR layout: the backward
     fills C's values and does no sort or scatter. Repeated and mirrored
     pairs accumulate additively.
     """
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    signs = np.asarray(signs, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if left.ndim != 1 or any(a.shape != left.shape for a in (right, signs, weights)):
-        raise ValueError("pair_softplus takes four aligned 1-D arrays")
     n = x.shape[0]
-    if left.size and (min(left[0], right.min()) < 0 or max(left[-1], right.max()) >= n):
+    if plan.max_index >= n:
         raise IndexError("pair_softplus index out of range")
-    if np.any(left[1:] < left[:-1]):
-        raise ValueError("pair_softplus needs pairs sorted by left index")
     # Row blocks keep the gathered temporaries cache-sized instead of
     # mapping fresh pages every call; each row's sum is the same either way.
     step = max(1, 32768 // max(x.shape[1], 1))
-    sims = np.empty(left.size)
-    for lo in range(0, left.size, step):
+    usims = np.empty(plan._lo.size)
+    for lo in range(0, usims.size, step):
         rows = slice(lo, lo + step)
-        sims[rows] = (x.values[left[rows]] * x.values[right[rows]]).sum(axis=1)
-    z = sims * signs
-    terms = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    vals = np.array([[np.sum(terms * weights)]])
+        a = np.take(x.values, plan._lo[rows], axis=0)
+        a *= np.take(x.values, plan._hi[rows], axis=0)
+        np.add.reduce(a, axis=1, out=usims[rows])
+    z = usims[plan._inv] * plan.signs
+    e = np.exp(-np.abs(z))
+    terms = np.maximum(z, 0.0) + np.log1p(e)
+    vals = np.array([[np.sum(terms * plan.weights)]])
 
     def grad_fn(g):
         if x.requires_grad:
             offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(left, minlength=n), out=offsets[1:])
-            coef = g[0, 0] * weights * signs * _sigmoid(z)
-            c = _sp.csr_array((coef, right, offsets), shape=(n, n))
+            np.cumsum(np.bincount(plan.left, minlength=n), out=offsets[1:])
+            # sigmoid(z) from the forward's exp(-|z|), on each sign's own branch
+            coef = g[0, 0] * plan.weights * plan.signs * (np.where(z >= 0, 1.0, e) / (1.0 + e))
+            c = _sp.csr_array((coef, plan.right, offsets), shape=(n, n))
             x._take_grad(c @ x.values + c.T @ x.values)
 
     return _result(vals, (x,), grad_fn)

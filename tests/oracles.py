@@ -3,9 +3,12 @@
 Each one computes, for one value, one pair or one node, what the package
 computes for whole arrays at once. ``weighted_sum`` is the one tape op kept
 here: the scalar readout the finite-difference tests differentiate through.
+``pair_softplus`` gathers every pair's own rows: the package's op, which
+gathers each unordered pair once, must reproduce its bits.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from disamgnn.tensor import Tensor, _result
 
@@ -21,6 +24,34 @@ def weighted_sum(x: Tensor, w) -> Tensor:
             x._take_grad(g[0, 0] * w)
 
     return _result(np.array([[np.sum(x.values * w)]]), (x,), grad_fn)
+
+
+def pair_softplus(x, left, right, signs, weights):
+    """(value, gradient) of sum_k weights[k] * softplus(signs[k] * <x[left[k]], x[right[k]]>).
+
+    Every pair gathers its own two rows, in row blocks of 32768 // d pairs,
+    and the gradient is C @ x + C.T @ x over the pairs' CSR layout, with the
+    sigmoid taken on each sign's own branch. ``left`` is non-decreasing.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    step = max(1, 32768 // max(x.shape[1], 1))
+    sims = np.empty(left.size)
+    for lo in range(0, left.size, step):
+        rows = slice(lo, lo + step)
+        sims[rows] = (x[left[rows]] * x[right[rows]]).sum(axis=1)
+    z = sims * signs
+    terms = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    value = np.array([[np.sum(terms * weights)]])
+    sig = np.empty_like(z)
+    pos = z >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(left, minlength=n), out=offsets[1:])
+    c = sp.csr_array((weights * signs * sig, right, offsets), shape=(n, n))
+    return value, c @ x + c.T @ x
 
 
 def softplus(x: float) -> float:

@@ -145,15 +145,15 @@ def op_sweep_worst():
     left, right = np.array([0, 0, 1, 2, 3]), np.array([1, 3, 0, 2, 1])
     signs, pw = np.array([-1.0, 1.0, 1.0, -1.0, 1.0]), rng.random(5)
     worst = max(worst, fd_max_rel_err(
-        lambda: T.pair_softplus(x, left, right, signs, pw), [x]))
+        lambda: T.pair_softplus(x, T.PairPlan(left, right, signs, pw)), [x]))
 
     x, w, bias = t((3, 4)), t((4, 2)), t((1, 2))
     worst = max(worst, reduce_fd(lambda: T.linear(x, w, bias), x, w, bias))
     return worst
 
 
-# The tensor type and the tape walk are not tape ops.
-SWEEP_EXEMPT = {"Tensor", "backward"}
+# The tensor type, the pair plan and the tape walk are not tape ops.
+SWEEP_EXEMPT = {"Tensor", "PairPlan", "backward"}
 
 
 def test_op_sweep_calls_every_tape_op(monkeypatch):

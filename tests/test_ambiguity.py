@@ -438,7 +438,7 @@ def test_fused_loss_matches_composed_ops():
         cfg = d.DisamConfig(aux_samples=3, aux_similarity_min=0.3)
         nodes = rng.choice(30, size=12, replace=False)
         groups = d.build_contrast_groups(emb, g, nodes, cfg, np.random.default_rng(rep))
-        assert len(groups.pairs()[0]) > 0
+        assert groups.pairs().left.size > 0
         x = T.Tensor(emb.copy(), requires_grad=True)
         fused = d.jsd_contrast_loss(x, groups)
         T.backward(fused)
@@ -451,11 +451,11 @@ def test_pairs_follow_anchor_then_pool_order():
     groups = d.ContrastGroups()
     groups.pools[3] = d.NodePools(np.array([5]), np.array([0, 1]), np.array([7]))
     groups.pools[1] = d.NodePools(np.empty(0, int), np.array([2]), np.empty(0, int))
-    left, right, signs, weights = groups.pairs()
-    assert left.tolist() == [1, 3, 3, 3, 3]
-    assert right.tolist() == [2, 5, 7, 0, 1]
-    assert signs.tolist() == [1.0, -1.0, -1.0, 1.0, 1.0]
-    assert weights.tolist() == [1.0, 0.5, 0.5, 0.5, 0.5]
+    plan = groups.pairs()
+    assert plan.left.tolist() == [1, 3, 3, 3, 3]
+    assert plan.right.tolist() == [2, 5, 7, 0, 1]
+    assert plan.signs.tolist() == [1.0, -1.0, -1.0, 1.0, 1.0]
+    assert plan.weights.tolist() == [1.0, 0.5, 0.5, 0.5, 0.5]
     assert groups.pairs() is groups.pairs()
 
 

@@ -329,7 +329,7 @@ def test_backward_keeps_owned_gradients_on_leaves_only(backbone):
     groups = d.build_contrast_groups(d.forward(params, g).embeddings.values, g,
                                      np.arange(g.num_nodes), d.DisamConfig(),
                                      np.random.default_rng(5))
-    assert len(groups.pairs()[0]) > 0
+    assert groups.pairs().left.size > 0
 
     def joint_loss():
         # a fresh generator per call keeps the dropout mask fixed

@@ -40,6 +40,8 @@ CASES = [
      ValueError, "labels must be 1-D with 3 rows (one per node), got shape (6,)"),
     ("cross_entropy_loss empty mask", d.cross_entropy_loss, (LOGITS, [0, 0, 0], []),
      ValueError, "cross_entropy_loss mask is empty"),
+    ("cross_entropy_loss repeated mask node", d.cross_entropy_loss, (LOGITS, [0, 0, 1], [2, 0, 2]),
+     ValueError, "cross_entropy_loss mask repeats a node"),
     ("cross_entropy_loss masked class past C", d.cross_entropy_loss, (LOGITS, [0, 5, 1], [0, 1]),
      IndexError, "labels holds class index 5 outside [0, 2)"),
     ("macro_auroc fewer probability rows than labels", d.macro_auroc,

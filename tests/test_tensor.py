@@ -10,6 +10,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from disamgnn import tensor as T
+import oracles
 from oracles import softplus, weighted_sum
 
 H = 1e-5
@@ -299,26 +300,91 @@ def test_fd_pair_softplus():
     right = np.array([1, 2, 2, 4, 0, 3, 2, 3, 1])
     signs = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     weights = rng.random(9) + 0.1
+    plan = T.PairPlan(left, right, signs, weights)
     x = param(rng, 5, 3)
-    fd_check(lambda: T.pair_softplus(x, left, right, signs, weights), [x])
+    fd_check(lambda: T.pair_softplus(x, plan), [x])
 
     a = param(rng, 4, 3)
     pad = csr_array(np.eye(5, 4))
 
     def normalized():
-        return T.pair_softplus(T.row_l2_normalize(T.spmm(pad, a)), left, right, signs, weights)
+        return T.pair_softplus(T.row_l2_normalize(T.spmm(pad, a)), plan)
 
     fd_check(normalized, [a])
 
 
 def test_pair_softplus_value_and_empty():
     x = T.Tensor(np.array([[1.0, 0.0], [0.0, 2.0]]), requires_grad=True)
-    out = T.pair_softplus(x, [0, 1], [0, 0], [-1.0, 1.0], [0.5, 2.0])
+    out = T.pair_softplus(x, T.PairPlan([0, 1], [0, 0], [-1.0, 1.0], [0.5, 2.0]))
     assert out.item() == pytest.approx(0.5 * softplus(-1.0) + 2.0 * softplus(0.0), abs=1e-15)
-    empty = T.pair_softplus(x, [], [], [], [])
+    empty = T.pair_softplus(x, T.PairPlan([], [], [], []))
     assert empty.item() == 0.0
     T.backward(empty)
     assert not np.any(x.grad)
+
+
+def random_pairs(rng, n, size):
+    """Pairs sorted by left, with mirrors, duplicates and self pairs planted."""
+    left, right = rng.integers(0, n, size), rng.integers(0, n, size)
+    q = size // 4
+    left[:q], right[:q] = right[q:2 * q], left[q:2 * q]  # mirrors of the second quarter
+    left[2 * q:3 * q], right[2 * q:3 * q] = left[q:2 * q], right[q:2 * q]  # duplicates of it
+    right[3 * q:3 * q + 3] = left[3 * q:3 * q + 3]  # self pairs
+    order = np.argsort(left, kind="stable")
+    signs = rng.choice([-1.0, 1.0], size)
+    return left[order], right[order], signs, rng.random(size) + 0.1
+
+
+@pytest.mark.parametrize("d", [1, 3, 64, 65])
+def test_pair_softplus_matches_per_pair_oracle_bitwise(d):
+    # 32768 // d rows per gather block: d = 64 and 65 sit on either side of a
+    # block-size change, and 1500 pairs span several blocks at both widths
+    rng = np.random.default_rng(d)
+    for rep in range(20):
+        n = int(rng.integers(2, 40))
+        x = rng.normal(size=(n, d))
+        x[rng.integers(0, n, 2)] = 0.0  # zero rows: similarity 0 and -0.0
+        left, right, signs, weights = random_pairs(rng, n, int(rng.choice([1, 7, 1500])))
+        value, grad = oracles.pair_softplus(x, left, right, signs, weights)
+        t = T.Tensor(x, requires_grad=True)
+        out = T.pair_softplus(t, T.PairPlan(left, right, signs, weights))
+        T.backward(out)
+        assert out.values.tobytes() == value.tobytes()
+        assert t.grad.tobytes() == grad.tobytes()
+
+
+def test_pair_softplus_nan_row_matches_per_pair_oracle():
+    # the value keeps its bits; a NaN gradient entry may differ in its sign bit
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(12, 5))
+    x[3] = np.nan
+    left, right, signs, weights = random_pairs(rng, 12, 60)
+    value, grad = oracles.pair_softplus(x, left, right, signs, weights)
+    t = T.Tensor(x, requires_grad=True)
+    out = T.pair_softplus(t, T.PairPlan(left, right, signs, weights))
+    T.backward(out)
+    assert out.values.tobytes() == value.tobytes()
+    assert np.array_equal(np.isnan(t.grad), np.isnan(grad)) and np.isnan(grad).any()
+    assert np.nan_to_num(t.grad).tobytes() == np.nan_to_num(grad).tobytes()
+
+
+def test_pair_plan_is_checked_once_and_read_only():
+    plan = T.PairPlan([0, 0, 2], [1, 2, 0], [1.0, -1.0, 1.0], [0.5, 0.5, 1.0])
+    assert plan.max_index == 2
+    for arr in (plan.left, plan.right, plan.signs, plan.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # the plan holds its own copies: changing the caller's arrays changes nothing
+    left = np.array([0, 1])
+    other = T.PairPlan(left, [1, 0], [1.0, 1.0], [1.0, 1.0])
+    left[0] = 5
+    assert other.left.tolist() == [0, 1]
+    # indices are checked against the rows of each x the plan meets
+    T.pair_softplus(T.Tensor(np.zeros((3, 2))), plan)
+    with pytest.raises(IndexError):
+        T.pair_softplus(T.Tensor(np.zeros((2, 2))), plan)
+    with pytest.raises(IndexError):
+        T.PairPlan([0, 1], [-1, 0], [1.0, 1.0], [1.0, 1.0])
 
 
 def test_fd_composite_two_layer_chain():
@@ -424,8 +490,8 @@ def test_op_shape_errors():
     with pytest.raises(ValueError):
         T.scalar_mul(a, a)
     with pytest.raises(ValueError):
-        T.pair_softplus(a, [1, 0], [0, 1], [1.0, 1.0], [1.0, 1.0])
+        T.PairPlan([1, 0], [0, 1], [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        T.pair_softplus(a, [0, 1], [0, 1], [1.0], [1.0, 1.0])
+        T.PairPlan([0, 1], [0, 1], [1.0], [1.0, 1.0])
     with pytest.raises(IndexError):
-        T.pair_softplus(a, [0, 1], [0, 2], [1.0, 1.0], [1.0, 1.0])
+        T.pair_softplus(a, T.PairPlan([0, 1], [0, 2], [1.0, 1.0], [1.0, 1.0]))
