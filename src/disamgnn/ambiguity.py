@@ -97,7 +97,6 @@ class AmbiguityState:
             memory=np.zeros((num_nodes, num_classes)),
             scores=np.zeros(num_nodes),
             ambiguous=np.empty(0, dtype=np.int64),
-            initialized=False,
         )
 
 
@@ -113,8 +112,8 @@ def update_memory(
             f"class_probs shape {probs.shape} != memory shape {state.memory.shape}"
         )
     sums = probs.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-6 or probs.min() < -1e-12:
-        raise ValueError("class_probs rows must be probability vectors")
+    if not np.isfinite(sums).all() or np.max(np.abs(sums - 1.0)) > 1e-6 or probs.min() < -1e-12:
+        raise ValueError("class_probs rows must be finite probability vectors")
     if not state.initialized:
         state.memory[...] = probs
         state.initialized = True

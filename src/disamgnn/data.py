@@ -245,7 +245,10 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
                     f"graph's {g.num_nodes} nodes"
                 )
             ids[key] = np.asarray(value, dtype=np.int64)
-        masks = SplitMasks(**ids)
+        try:
+            masks = SplitMasks(**ids)
+        except ValueError as exc:
+            raise ValueError(f"{splits_path}: {exc}") from None
     return g, masks
 
 
@@ -277,11 +280,7 @@ def save_bundle(
         json.dump(meta, fh, indent=1)
         fh.write("\n")
     if masks is not None:
-        blob = {
-            "train": masks.train.tolist(),
-            "val": masks.val.tolist(),
-            "test": masks.test.tolist(),
-        }
+        blob = {key: masks.mask(key).tolist() for key in ("train", "val", "test")}
         with open(os.path.join(path, "splits.json"), "w") as fh:
             json.dump(blob, fh)
             fh.write("\n")

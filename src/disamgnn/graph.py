@@ -11,7 +11,7 @@ graph_homophily        mean node homophily over non-isolated nodes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +39,19 @@ def _sorted_unique(arr: np.ndarray) -> np.ndarray:
     return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
 
 
-def _node_index(values, what: str, n: int | None = None) -> np.ndarray:
-    """``values`` as 1-D int64 node ids, in [0, n) when ``n`` is given; bool or float ids fail."""
+def _integers(values, what: str, kind: str) -> np.ndarray:
+    """``values`` as an int64 array of any shape; bool or float entries fail, empty input passes."""
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must hold integer node indices, got dtype {arr.dtype}")
+        raise ValueError(f"{what} must hold integer {kind}, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _node_index(values, what: str, n: int | None = None) -> np.ndarray:
+    """``values`` as 1-D int64 node ids, in [0, n) when ``n`` is given; bool or float ids fail."""
+    arr = _integers(values, what, "node indices")
     if arr.ndim != 1:
         raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
-    arr = arr.astype(np.int64, copy=False)
     if n is not None and arr.size and (arr.min() < 0 or arr.max() >= n):
         raise IndexError(f"{what} holds a node index outside [0, {n})")
     return arr
@@ -91,6 +96,8 @@ class Graph:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
+    # what models.forward derives from this graph alone; dataclasses.replace starts it empty
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -156,7 +163,7 @@ def build_graph(edges, features, labels, num_classes: int | None = None) -> Grap
     if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
     n = features.shape[0]
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels", "class ids")
     if labels.shape != (n,):
         raise ValueError(
             f"labels shape {labels.shape} does not match {n} feature rows"
@@ -171,7 +178,7 @@ def build_graph(edges, features, labels, num_classes: int | None = None) -> Grap
     if n and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("labels must lie in [0, num_classes)")
 
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = _integers(edges, "edges", "node indices")
     if edges.size == 0:
         edges = edges.reshape(0, 2)
     if edges.ndim != 2 or edges.shape[1] != 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _class_ids, _node_mask, _node_rows
+from .graph import _class_ids, _integers, _node_mask, _node_rows
 
 __all__ = [
     "MetricsReport",
@@ -28,8 +28,8 @@ __all__ = [
 
 def confusion_matrix(preds, labels, mask, num_classes: int) -> np.ndarray:
     """(num_classes, num_classes) counts; rows are true class, cols predicted."""
-    labels = np.asarray(labels, dtype=np.int64)
-    preds = _node_rows(np.asarray(preds, dtype=np.int64), "preds", labels.shape[0], 1)
+    labels = _integers(labels, "labels", "class ids")
+    preds = _node_rows(_integers(preds, "preds", "class ids"), "preds", labels.shape[0], 1)
     idx = _node_mask(mask, "metric mask", labels.shape[0])
     truth = _class_ids(labels[idx], "labels", num_classes)
     pred = _class_ids(preds[idx], "preds", num_classes)
@@ -38,8 +38,8 @@ def confusion_matrix(preds, labels, mask, num_classes: int) -> np.ndarray:
 
 
 def accuracy(preds, labels, mask) -> float:
-    labels = np.asarray(labels)
-    preds = _node_rows(np.asarray(preds), "preds", labels.shape[0], 1)
+    labels = _integers(labels, "labels", "class ids")
+    preds = _node_rows(_integers(preds, "preds", "class ids"), "preds", labels.shape[0], 1)
     idx = _node_mask(mask, "metric mask", labels.shape[0])
     return float(np.mean(preds[idx] == labels[idx]))
 
@@ -80,7 +80,7 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 def macro_auroc(class_probs, labels, mask) -> float:
     """Mean one-vs-rest AUROC over classes scorable inside the mask."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels", "class ids")
     probs = _node_rows(np.asarray(class_probs, dtype=np.float64), "class_probs", labels.shape[0], 2)
     idx = _node_mask(mask, "metric mask", labels.shape[0])
     sub_labels = _class_ids(labels[idx], "labels", probs.shape[1])

@@ -10,8 +10,9 @@ single linear map on k-step propagated features; its embedding is that
 propagated (constant) matrix.
 
 Layer 0 of every backbone aggregates the input features X, which carry no
-gradient and see no dropout, so ``forward``'s cache computes that aggregate
-once: GCN's layer 0 is (ÂX)W₀ + b₀, later layers Â(HW) + b.
+gradient and see no dropout, so ``forward`` computes that aggregate once per
+graph and keeps it, with the propagation matrices, in the graph's memo:
+GCN's layer 0 is (ÂX)W₀ + b₀, later layers Â(HW) + b.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, _class_ids, _node_mask, _node_rows, _sorted_unique
+from .graph import Graph, _class_ids, _integers, _node_mask, _node_rows, _sorted_unique
 from .tensor import (
     Tensor,
     _result,
@@ -175,29 +176,29 @@ def sum_adjacency(g: Graph) -> sp.csr_array:
     return sp.csr_array((values, g.csr_targets, g.csr_offsets), shape=(g.num_nodes,) * 2)
 
 
-def _cached(cache: dict, key, builder):
-    if key not in cache:
-        cache[key] = builder()
-    return cache[key]
+def _cached(g: Graph, key, builder):
+    if key not in g._memo:
+        g._memo[key] = builder()
+    return g._memo[key]
 
 
-def _adjacency(cache: dict, g: Graph, adj_key: str) -> sp.csr_array:
+def _adjacency(g: Graph, adj_key: str) -> sp.csr_array:
     # looked up per call, so a wrapper set on this module's builders sees them
     build = {"gcn_adj": gcn_normalized_adjacency, "mean_adj": mean_adjacency,
              "sum_adj": sum_adjacency}[adj_key]
-    return _cached(cache, adj_key, lambda: build(g))
+    return _cached(g, adj_key, lambda: build(g))
 
 
-def _propagated(cache: dict, g: Graph, adj_key: str, k: int) -> Tensor:
-    """Constant ``adj^k @ g.features``, computed once per cache."""
+def _propagated(g: Graph, adj_key: str, k: int) -> Tensor:
+    """Constant ``adj^k @ g.features``, computed once per graph."""
 
     def propagate():
-        mat, out = _adjacency(cache, g, adj_key), g.features
+        mat, out = _adjacency(g, adj_key), g.features
         for _ in range(k):
             out = mat @ out
         return Tensor(out)
 
-    return _cached(cache, (adj_key, k), propagate)
+    return _cached(g, (adj_key, k), propagate)
 
 
 def forward(
@@ -207,13 +208,12 @@ def forward(
     training: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    cache: dict | None = None,
 ) -> ForwardOutput:
     """Run the backbone over the whole graph.
 
-    ``cache`` may be shared across calls on the same graph. It holds the
-    propagation matrices and the constant layer-0 aggregate of the input
-    features, so only the first call pays for them: GCN's layer 0 is
+    The propagation matrices and the constant layer-0 aggregate of the input
+    features depend on ``g`` alone, so the first call on a graph builds them
+    into its memo and later calls on that graph reuse them: GCN's layer 0 is
     ``(ÂX)W₀ + b₀``, SAGE's reads ``[X | mean(X)]`` and GIN's ``ΣX`` from
     it, and SGC's whole input is ``Â^k X``. Dropout fires only when
     ``training`` is true and ``dropout_rate`` > 0, in which case ``rng`` is
@@ -226,31 +226,24 @@ def forward(
     use_dropout = training and dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("dropout needs an rng in training mode")
-    cache = {} if cache is None else cache
     p = params.params
     n_layers = params.num_layers
 
-    def between_layers(h: Tensor) -> Tensor:
-        h = relu(h)
-        if use_dropout:
-            h = dropout(h, dropout_rate, rng)
-        return h
-
     if params.backbone == "sgc":
-        emb = _propagated(cache, g, "gcn_adj", params.sgc_k)
+        emb = _propagated(g, "gcn_adj", params.sgc_k)
         h = linear(emb, p["linear.weight"], p["linear.bias"])
         return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
 
     adj_key = {"gcn": "gcn_adj", "sage": "mean_adj", "gin": "sum_adj"}[params.backbone]
-    adj = _adjacency(cache, g, adj_key)
+    adj = _adjacency(g, adj_key)
     h = emb = Tensor(g.features)
     for i in range(n_layers):
-        ax = _propagated(cache, g, adj_key, 1) if i == 0 else None
+        ax = _propagated(g, adj_key, 1) if i == 0 else None
         if params.backbone == "gcn":
             w, b = p[f"layer{i}.weight"], p[f"layer{i}.bias"]
             h = linear(ax, w, b) if i == 0 else add(spmm(adj, matmul(h, w)), b)
         elif params.backbone == "sage":
-            combined = (_cached(cache, "sage_in", lambda: concat_cols(h, ax)) if i == 0
+            combined = (_cached(g, "sage_in", lambda: concat_cols(h, ax)) if i == 0
                         else concat_cols(h, spmm(adj, h)))
             h = linear(combined, p[f"layer{i}.weight"], p[f"layer{i}.bias"])
         else:  # gin
@@ -258,7 +251,8 @@ def forward(
             z = relu(linear(agg, p[f"layer{i}.mlp0.weight"], p[f"layer{i}.mlp0.bias"]))
             h = linear(z, p[f"layer{i}.mlp1.weight"], p[f"layer{i}.mlp1.bias"])
         if i < n_layers - 1:
-            h = emb = between_layers(h)
+            h = relu(h)
+            h = emb = dropout(h, dropout_rate, rng) if use_dropout else h
 
     return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
 
@@ -271,7 +265,7 @@ def cross_entropy_loss(output, labels, mask) -> Tensor:
     (softmax - onehot) / count on masked rows. ``mask`` names distinct nodes.
     """
     logits = output.logits if isinstance(output, ForwardOutput) else output
-    labels = _node_rows(np.asarray(labels, dtype=np.int64), "labels", logits.shape[0], 1)
+    labels = _node_rows(_integers(labels, "labels", "class ids"), "labels", logits.shape[0], 1)
     idx = _node_mask(mask, "cross_entropy_loss mask", logits.shape[0])
     if _sorted_unique(idx).size != idx.size:
         raise ValueError("cross_entropy_loss mask repeats a node")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _class_ids, _node_index, _node_rows, node_homophily_vector
+from .graph import Graph, _class_ids, _integers, _node_index, _node_rows, node_homophily_vector
 
 __all__ = [
     "TIER_NAMES",
@@ -63,7 +63,7 @@ def class_size_tiers(labels, num_classes: int) -> np.ndarray:
     members, upper-inclusive. With zero spread every class is Majority.
     Empty classes are binned too but never matter (no node carries them).
     """
-    labels = _class_ids(np.asarray(labels, dtype=np.int64), "labels", num_classes)
+    labels = _class_ids(_integers(labels, "labels", "class ids"), "labels", num_classes)
     counts = np.bincount(labels, minlength=num_classes)
     present = counts > 0
     if not present.any():
@@ -137,19 +137,17 @@ def group_report(
     excludes nodes, a residual row is appended under its excluded_label.
     """
     n = groups.group_ids.size
-    preds = _node_rows(np.asarray(preds, dtype=np.int64), "preds", n, 1)
-    labels = _node_rows(np.asarray(labels, dtype=np.int64), "labels", n, 1)
+    preds = _node_rows(_integers(preds, "preds", "class ids"), "preds", n, 1)
+    labels = _node_rows(_integers(labels, "labels", "class ids"), "labels", n, 1)
     scores = _node_rows(np.asarray(scores, dtype=np.float64), "scores", n, 1)
     idx = _node_index(mask, "group_report mask", n)
 
     def row(label: str, members: np.ndarray) -> dict:
         count = int(members.size)
+        acc = amb = math.nan
         if count:
             acc = float(np.mean(preds[members] == labels[members]))
             amb = float(scores[members].mean())
-        else:
-            acc = math.nan
-            amb = math.nan
         return {"group": label, "count": count, "accuracy": acc, "mean_ambiguity": amb}
 
     gids = groups.group_ids[idx]

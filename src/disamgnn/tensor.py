@@ -306,8 +306,11 @@ class PairPlan:
         keys, self._inv = np.unique(np.minimum(left, right) * span + np.maximum(left, right),
                                     return_inverse=True)
         self._lo, self._hi = np.divmod(keys, span)
+        # CSR row offsets of the pairs in ``left`` order, for rows 0..max_index
+        self._offsets = np.zeros(span + 1, dtype=np.int64)
+        np.cumsum(np.bincount(left, minlength=span), out=self._offsets[1:])
         self.left, self.right, self.signs, self.weights = left, right, signs, weights
-        for a in (left, right, signs, weights, self._inv, self._lo, self._hi):
+        for a in (left, right, signs, weights, self._inv, self._lo, self._hi, self._offsets):
             a.flags.writeable = False
 
 
@@ -340,8 +343,8 @@ def pair_softplus(x: Tensor, plan: PairPlan) -> Tensor:
 
     def grad_fn(g):
         if x.requires_grad:
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(plan.left, minlength=n), out=offsets[1:])
+            # rows past max_index hold no pairs: they repeat the last offset
+            offsets = np.concatenate((plan._offsets, np.full(n - plan.max_index - 1, plan._offsets[-1])))
             # sigmoid(z) from the forward's exp(-|z|), on each sign's own branch
             coef = g[0, 0] * plan.weights * plan.signs * (np.where(z >= 0, 1.0, e) / (1.0 + e))
             c = _sp.csr_array((coef, plan.right, offsets), shape=(n, n))

@@ -104,7 +104,7 @@ class TrainHistory:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or the class probabilities stop being finite."""
 
 
 def train(
@@ -131,7 +131,6 @@ def train(
     )
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     state = AmbiguityState.create(g.num_nodes, g.num_classes)
-    cache: dict = {}
     groups = None
     records: list[EpochRecord] = []
     best_val = -1.0
@@ -140,7 +139,9 @@ def train(
     stale = 0
 
     for epoch in range(cfg.max_epochs):
-        out = forward(params, g, cache=cache)
+        out = forward(params, g)
+        if not np.isfinite(out.class_probs).all():
+            raise TrainingDiverged(f"non-finite class probabilities at epoch {epoch}, lr={cfg.lr}")
         update_memory(state, out.class_probs, dc.memory_decay)
         preds = out.class_probs.argmax(axis=1)
         train_acc = accuracy(preds, g.labels, masks.train)
@@ -167,10 +168,7 @@ def train(
                 groups = None
 
         if cfg.dropout > 0:
-            out = forward(
-                params, g, training=True, dropout_rate=cfg.dropout, rng=dropout_rng,
-                cache=cache,
-            )
+            out = forward(params, g, training=True, dropout_rate=cfg.dropout, rng=dropout_rng)
         ce = cross_entropy_loss(out, g.labels, masks.train)
         if groups:
             contrast = jsd_contrast_loss(out.embeddings, groups)
@@ -204,7 +202,7 @@ def train(
         )
     else:
         # Ran to max_epochs: give the final update a chance at the best slot.
-        final_out = forward(params, g, cache=cache)
+        final_out = forward(params, g)
         final_val = accuracy(final_out.class_probs.argmax(axis=1), g.labels, masks.val)
         if final_val > best_val:
             best_val = final_val

@@ -378,14 +378,13 @@ def plain_ce_train(cfg, g, masks):
                         hidden_dim=cfg.hidden_dim, num_layers=cfg.num_layers,
                         sgc_k=cfg.sgc_k, rng=init_rng)
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    cache = {}
     records = []
     best_val = -1.0
     best_epoch = -1
     best_snapshot = params.snapshot()
     stale = 0
     for epoch in range(cfg.max_epochs):
-        eval_out = forward(params, g, cache=cache)
+        eval_out = forward(params, g)
         preds = eval_out.class_probs.argmax(axis=1)
         train_acc = accuracy(preds, g.labels, masks.train)
         val_acc = accuracy(preds, g.labels, masks.val)
@@ -399,14 +398,14 @@ def plain_ce_train(cfg, g, masks):
         if stale >= cfg.patience:
             break
         train_out = forward(params, g, training=True, dropout_rate=cfg.dropout,
-                            rng=dropout_rng, cache=cache)
+                            rng=dropout_rng)
         ce = cross_entropy_loss(train_out, g.labels, masks.train)
         params.zero_grads()
         T.backward(ce)
         adam_step(opt, params.named_values(), params.named_grads())
         records.append((epoch, ce.item(), train_acc, val_acc))
     else:
-        final_out = forward(params, g, cache=cache)
+        final_out = forward(params, g)
         final_val = accuracy(final_out.class_probs.argmax(axis=1),
                              g.labels, masks.val)
         if final_val > best_val:

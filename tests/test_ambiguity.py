@@ -82,6 +82,17 @@ def test_update_memory_validation():
         d.update_memory(state, np.array([[0.5, 0.5, 0.5]] * 2), 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_update_memory_rejects_non_finite_rows(bad):
+    # a NaN row sums to NaN, which no tolerance comparison catches
+    state = d.AmbiguityState.create(2, 2)
+    d.update_memory(state, np.array([[0.5, 0.5], [0.25, 0.75]]), 0.5)
+    before = state.memory.copy()
+    with pytest.raises(ValueError, match="finite probability vectors"):
+        d.update_memory(state, np.array([[bad, bad], [0.5, 0.5]]), 0.5)
+    assert np.array_equal(state.memory, before)
+
+
 def test_memory_rows_stay_probability_vectors():
     rng = np.random.default_rng(13)
     state = d.AmbiguityState.create(6, 4)

@@ -17,6 +17,7 @@ import pytest
 import disamgnn as d
 from disamgnn import cli
 from disamgnn import data as dataio
+from disamgnn import models as M
 
 
 def read_csv(path):
@@ -54,6 +55,17 @@ def trained(bundle, tmp_path_factory):
     out = tmp_path_factory.mktemp("run") / "first"
     assert run_train(bundle, out) == 0
     return str(out)
+
+
+def test_train_builds_the_gcn_adjacency_once_across_seeds(tmp_path, monkeypatch):
+    # train, and the metrics forward after it, of both seeds share one graph
+    built = []
+    build = M.gcn_normalized_adjacency
+    monkeypatch.setattr(M, "gcn_normalized_adjacency", lambda g: built.append(g.num_nodes) or build(g))
+    argv = ["train", "--dataset", "sbm:ambiguity", "--out", str(tmp_path / "out"),
+            "--seeds", "0,1", "--hidden", "8", "--epochs", "3"]
+    assert cli.main(argv) == 0
+    assert len(built) == 1
 
 
 def test_cli_defaults_mirror_library_config():
@@ -322,6 +334,19 @@ def test_train_rejects_splits_without_a_test_key(bundle, tmp_path, capsys):
     assert run_train(broken, tmp_path / "out") == 1
     line = single_error_line(capsys)
     assert "splits.json" in line and "'test'" in line
+
+
+@pytest.mark.parametrize("blob, reason", [
+    ({"train": [0, 0], "val": [3], "test": [4]}, "train mask contains duplicate node indices"),
+    ({"train": [0], "val": [3], "test": [3, 4]}, "split masks overlap"),
+], ids=["repeated-id", "node-in-two-splits"])
+def test_train_names_splits_json_when_its_masks_clash(bundle, tmp_path, capsys, blob, reason):
+    broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
+    with open(os.path.join(broken, "splits.json"), "w") as fh:
+        json.dump(blob, fh)
+    capsys.readouterr()
+    assert run_train(broken, tmp_path / "out") == 1
+    assert single_error_line(capsys) == f"error: {os.path.join(broken, 'splits.json')}: {reason}"
 
 
 @pytest.mark.parametrize("text, name", [

@@ -130,6 +130,20 @@ def test_bundle_rejects_malformed_splits(tmp_path, blob, key):
     assert repr(key) in str(exc.value)
 
 
+@pytest.mark.parametrize("blob, reason", [
+    ({"train": [0, 0], "val": [1], "test": [2]}, "train mask contains duplicate node indices"),
+    ({"train": [0], "val": [1], "test": [1, 2]}, "split masks overlap"),
+], ids=["repeated-id", "node-in-two-splits"])
+def test_bundle_names_splits_json_when_its_masks_clash(tmp_path, blob, reason):
+    path = str(tmp_path / "splits")
+    write_minimal_bundle(path, n=3)
+    with open(os.path.join(path, "splits.json"), "w") as fh:
+        json.dump(blob, fh)
+    with pytest.raises(ValueError) as exc:
+        d.load_bundle(path)
+    assert str(exc.value) == f"{os.path.join(path, 'splits.json')}: {reason}"
+
+
 def cora_path():
     root = os.environ.get("DISAMGNN_DATA", "data")
     return os.path.join(root, "cora")

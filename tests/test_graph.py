@@ -107,6 +107,19 @@ def test_build_graph_rejects_bad_input():
         d.build_graph([], np.array([[np.nan, 0.0]] * 3), labels, 2)
 
 
+def test_build_graph_rejects_non_integer_edges_and_labels():
+    # a cast would truncate these into edge (0, 1) and labels [0, 1, 0]
+    feats = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="edges must hold integer node indices, got dtype float64"):
+        d.build_graph([[0.5, 1.9]], feats, [0, 1, 0])
+    with pytest.raises(ValueError, match="labels must hold integer class ids, got dtype float64"):
+        d.build_graph([[0, 1]], feats, [0.2, 1.7, 0.0])
+    with pytest.raises(ValueError, match="labels must hold integer class ids, got dtype bool"):
+        d.build_graph([[0, 1]], feats, [True, False, True])
+    g = d.build_graph([], feats, [0, 1, 0])  # an empty edge list has no dtype to check
+    assert g.num_edges == 0
+
+
 # ---------------------------------------------------------------------------
 # homophily
 

@@ -5,6 +5,8 @@ on a small random graph, plus hand-computable special cases (isolated nodes,
 edgeless graphs, identity weights).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -237,11 +239,29 @@ def test_forward_cache_is_reused():
     g = random_graph(rng, n=8)
     params = d.init_model("gcn", g.num_features, 3,
                           rng=np.random.default_rng(4))
-    cache = {}
-    out1 = d.forward(params, g, cache=cache)
-    assert "gcn_adj" in cache
-    out2 = d.forward(params, g, cache=cache)
+    out1 = d.forward(params, g)
+    assert "gcn_adj" in g._memo
+    out2 = d.forward(params, g)
     assert np.array_equal(out1.logits.values, out2.logits.values)
+
+
+@pytest.mark.parametrize("backbone", d.BACKBONES)
+def test_replaced_or_rebuilt_graph_never_reads_another_graphs_constants(backbone):
+    rng = np.random.default_rng(47)
+    edges = [(u, v) for u in range(10) for v in range(u + 1, 10) if rng.random() < 0.3]
+    labels = rng.integers(0, 3, size=10)
+    features, other = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
+    params = d.init_model(backbone, 4, 3, hidden_dim=6, rng=np.random.default_rng(1))
+    g = d.build_graph(edges, features, labels, 3)
+    d.forward(params, g)  # fills g's memo
+    replaced = dataclasses.replace(g, features=other)
+    assert replaced._memo == {}
+    fresh = d.forward(params, d.build_graph(edges, other, labels, 3)).logits.values
+    assert np.array_equal(d.forward(params, replaced).logits.values, fresh)
+    rebuilt = d.build_graph(edges, features, labels, 3)
+    assert rebuilt._memo == {}
+    assert np.array_equal(d.forward(params, rebuilt).logits.values,
+                          d.forward(params, g).logits.values)
 
 
 @pytest.mark.parametrize("num_layers", [1, 3])
@@ -264,20 +284,20 @@ def test_warm_cache_leaves_one_spmm_per_layer_after_the_first(backbone, num_laye
     g = random_graph(rng, n=12)
     params = d.init_model(backbone, g.num_features, g.num_classes, hidden_dim=6,
                           num_layers=num_layers, rng=np.random.default_rng(7))
-    cache = {}
-    d.forward(params, g, cache=cache)
-    warm = dict(cache)
+    d.forward(params, g)
+    warm = dict(g._memo)
     calls = []
     spmm = M.spmm
     monkeypatch.setattr(M, "spmm", lambda s, x: calls.append(s) or spmm(s, x))
-    d.forward(params, g, cache=cache)
+    d.forward(params, g)
     assert len(calls) == (0 if backbone == "sgc" else num_layers - 1)
-    assert cache.keys() == warm.keys()
-    assert all(cache[k] is warm[k] for k in warm)
+    assert g._memo.keys() == warm.keys()
+    assert all(g._memo[k] is warm[k] for k in warm)
 
 
 def test_adjacency_builders_are_looked_up_at_call_time(monkeypatch):
-    # a wrapper set on the module (as a tracer does) must see every build
+    # a wrapper set on the module (as a tracer does) must see every build;
+    # one graph builds each matrix once, so SGC reuses the Â that GCN built
     calls = []
     for name in ("gcn_normalized_adjacency", "mean_adjacency", "sum_adjacency"):
         build = getattr(M, name)
@@ -286,8 +306,7 @@ def test_adjacency_builders_are_looked_up_at_call_time(monkeypatch):
     for backbone in d.BACKBONES:
         d.forward(d.init_model(backbone, g.num_features, g.num_classes,
                                rng=np.random.default_rng(0)), g)
-    assert calls == ["gcn_normalized_adjacency", "mean_adjacency", "sum_adjacency",
-                     "gcn_normalized_adjacency"]
+    assert calls == ["gcn_normalized_adjacency", "mean_adjacency", "sum_adjacency"]
 
 
 def test_tape_ops_are_looked_up_at_call_time(monkeypatch):
@@ -366,9 +385,8 @@ def test_cached_aggregate_is_a_constant_that_backward_leaves_alone(backbone):
     g = random_graph(rng, n=12)
     params = d.init_model(backbone, g.num_features, g.num_classes, hidden_dim=6,
                           rng=np.random.default_rng(2))
-    cache = {}
-    out = d.forward(params, g, cache=cache)
-    consts = [t for t in cache.values() if isinstance(t, T.Tensor)]
+    out = d.forward(params, g)
+    consts = [t for t in g._memo.values() if isinstance(t, T.Tensor)]
     before = [t.values.copy() for t in consts]
     assert consts
     T.backward(M.cross_entropy_loss(out, g.labels, np.arange(g.num_nodes)))
@@ -383,10 +401,10 @@ def test_gcn_layer0_weight_gradient_matches_finite_differences():
     g = random_graph(rng, n=10, feat_dim=4)
     params = d.init_model("gcn", 4, 3, hidden_dim=5, rng=np.random.default_rng(8))
     w = params.params["layer0.weight"]
-    cache, mask, h = {}, np.arange(g.num_nodes), 1e-5
+    mask, h = np.arange(g.num_nodes), 1e-5
 
     def loss():
-        return M.cross_entropy_loss(d.forward(params, g, cache=cache), g.labels, mask)
+        return M.cross_entropy_loss(d.forward(params, g), g.labels, mask)
 
     T.backward(loss())
     for idx in np.ndindex(*w.shape):

@@ -1,8 +1,8 @@
-"""Every per-node input is checked by one of three rules, one row per case.
+"""Every per-node input is checked by one of four rules, one row per case.
 
 A per-node array must hold one row per node, a mask must name nodes and may
-not be empty where a mean is taken over it, and a class id must lie in
-[0, C). Each row below calls a library entry point with one input that
+not be empty where a mean is taken over it, a class id must lie in [0, C),
+and node and class ids must have an integer dtype. Each row below calls a library entry point with one input that
 breaks a rule and names the error it must end in. A new per-node input
 joins by adding one row.
 """
@@ -25,7 +25,7 @@ CASES = [
      (FIVE, [0, 1, 0], [0, 1, 1], [0.1, 0.2, 0.3], [4]),
      ValueError, "preds must be 1-D with 5 rows (one per node), got shape (3,)"),
     ("group_report short scores", d.group_report,
-     (FIVE, np.zeros(5), np.zeros(5), [0.1, 0.2], [0, 1]),
+     (FIVE, np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64), [0.1, 0.2], [0, 1]),
      ValueError, "scores must be 1-D with 5 rows (one per node), got shape (2,)"),
     ("accuracy short preds", d.accuracy, ([0, 1], [0, 1, 1], [1]),
      ValueError, "preds must be 1-D with 3 rows (one per node), got shape (2,)"),
@@ -56,6 +56,30 @@ CASES = [
     ("build_contrast_groups short embeddings", d.build_contrast_groups,
      (np.zeros((3, 2)), PATH, [0], d.DisamConfig(), np.random.default_rng(0)),
      ValueError, "embeddings must be 2-D with 4 rows (one per node), got shape (3, 2)"),
+    ("build_graph float edge endpoints", d.build_graph, ([[0.5, 1.9]], np.zeros((3, 2)), [0, 1, 0]),
+     ValueError, "edges must hold integer node indices, got dtype float64"),
+    ("build_graph float labels", d.build_graph, ([[0, 1]], np.zeros((3, 2)), [0.2, 1.7, 0.0]),
+     ValueError, "labels must hold integer class ids, got dtype float64"),
+    ("cross_entropy_loss float labels", d.cross_entropy_loss,
+     (LOGITS, np.array([0.9, 1.7, 0.2]), [0, 1, 2]),
+     ValueError, "labels must hold integer class ids, got dtype float64"),
+    ("confusion_matrix float labels", d.confusion_matrix,
+     ([0, 1, 1], np.array([0.5, 1.5, 1.0]), [0, 1, 2], 2),
+     ValueError, "labels must hold integer class ids, got dtype float64"),
+    ("confusion_matrix bool preds", d.confusion_matrix, ([True, False, True], [0, 1, 1], [0, 1], 2),
+     ValueError, "preds must hold integer class ids, got dtype bool"),
+    ("accuracy float preds", d.accuracy, (np.array([0.0, 1.0, 1.0]), [0, 1, 1], [0, 1]),
+     ValueError, "preds must hold integer class ids, got dtype float64"),
+    ("macro_auroc float labels", d.macro_auroc, (PROBS3, np.array([0.0, 1.0, 2.0]), [0, 1, 2]),
+     ValueError, "labels must hold integer class ids, got dtype float64"),
+    ("class_size_tiers float labels", d.class_size_tiers, (np.array([0.5, 1.5, 1.0, 0.0]), 2),
+     ValueError, "labels must hold integer class ids, got dtype float64"),
+    ("group_report float preds", d.group_report,
+     (FIVE, np.zeros(5), np.zeros(5, dtype=np.int64), np.zeros(5), [0, 1]),
+     ValueError, "preds must hold integer class ids, got dtype float64"),
+    ("group_report float labels", d.group_report,
+     (FIVE, np.zeros(5, dtype=np.int64), np.full(5, 0.5), np.zeros(5), [0, 1]),
+     ValueError, "labels must hold integer class ids, got dtype float64"),
 ]
 
 
