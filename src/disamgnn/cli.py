@@ -249,7 +249,9 @@ def cmd_sweep(args) -> int:
     workers = _sweep_workers(args.jobs, len(cells))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(*jobs))
+            # one chunk per worker pickles the graph once for each, so each
+            # worker builds its propagation constants once
+            results = list(pool.map(*jobs, chunksize=-(-len(cells) // workers)))
     else:
         results = list(map(*jobs))
 

@@ -3,7 +3,8 @@
 A dataset bundle is a directory holding edges.tsv (two integer columns),
 features.csv (dense real rows), labels.csv (one integer per node), an
 optional splits.json, and meta.json. Checkpoints are a {base}.json manifest
-plus a {base}.bin little-endian float64 blob and round-trip bit-exactly.
+plus a {base}.bin little-endian float64 blob, the model's flat parameter
+buffer, and round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -499,19 +500,16 @@ _CKPT_DTYPE = "<f8"
 
 
 def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None = None) -> None:
-    """Write {base}.json manifest and {base}.bin float64 blob.
+    """Write {base}.json manifest and {base}.bin, the flat parameter buffer as float64.
 
     ``split_seed`` is the seed whose split trained the parameters; it is
     recorded in the manifest (null when unknown) for ``analyze``.
     """
     entries = []
     offset = 0
-    chunks = []
     for name, t in params.params.items():
-        arr = np.ascontiguousarray(t.values, dtype=_CKPT_DTYPE)
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(arr.tobytes())
-        offset += arr.nbytes
+        entries.append({"name": name, "shape": list(t.shape), "offset": offset})
+        offset += t.values.nbytes
     manifest = {
         "format": "disamgnn-checkpoint",
         "version": 1,
@@ -533,7 +531,7 @@ def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None 
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     with open(base_path + ".bin", "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(params.flat.astype(_CKPT_DTYPE, copy=False).tobytes())
 
 
 def load_checkpoint(base_path: str) -> ModelParams:
@@ -572,7 +570,7 @@ def load_checkpoint(base_path: str) -> ModelParams:
                 f"{path}: entry {i} is {got}, the {params.backbone} layout expects {want}"
             )
     total = field("total_bytes", int)
-    need = sum(t.values.nbytes for t in params.params.values())
+    need = params.flat.nbytes
     with open(base_path + ".bin", "rb") as fh:
         blob = fh.read()
     if len(blob) != need or total != need:
@@ -584,10 +582,8 @@ def load_checkpoint(base_path: str) -> ModelParams:
     for entry, (name, t) in zip(entries, params.params.items()):
         if entry.get("offset") != offset:
             raise ValueError(f"{path}: entry {name!r} is at offset {entry.get('offset')!r}, not {offset}")
-        t.values[...] = np.frombuffer(
-            blob, dtype=_CKPT_DTYPE, count=t.values.size, offset=offset
-        ).reshape(t.shape)
         offset += t.values.nbytes
+    params.flat[...] = np.frombuffer(blob, dtype=_CKPT_DTYPE)
     return params
 
 

@@ -96,7 +96,8 @@ class Graph:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    # what models.forward derives from this graph alone; dataclasses.replace starts it empty
+    # what models.forward and regions derive from this graph alone, filled
+    # through _memoized; dataclasses.replace starts it empty
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -113,6 +114,13 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.csr_targets[self.csr_offsets[v] : self.csr_offsets[v + 1]]
+
+
+def _memoized(g: Graph, key, build):
+    """``g._memo[key]``, which the first request fills with ``build()``."""
+    if key not in g._memo:
+        g._memo[key] = build()
+    return g._memo[key]
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,18 @@ propagated (constant) matrix.
 Layer 0 of every backbone aggregates the input features X, which carry no
 gradient and see no dropout, so ``forward`` computes that aggregate once per
 graph and keeps it, with the propagation matrices, in the graph's memo:
-GCN's layer 0 is (ÂX)W₀ + b₀, later layers Â(HW) + b.
+GCN's layer 0 is (ÂX)W₀ + b₀, later layers Â(HW) + b. The memo also holds
+each matrix's transpose, the operand of ``spmm``'s backward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, _class_ids, _integers, _node_mask, _node_rows, _sorted_unique
+from .graph import Graph, _class_ids, _integers, _memoized, _node_mask, _node_rows, _sorted_unique
 from .tensor import (
     Tensor,
     _result,
@@ -55,7 +56,12 @@ BACKBONES = ("gcn", "sage", "gin", "sgc")
 
 @dataclass
 class ModelParams:
-    """Named parameter tensors plus the architecture they belong to."""
+    """Named parameter tensors plus the architecture they belong to.
+
+    Construction packs the tensors' values, in ``params`` (checkpoint) order,
+    into one float64 buffer ``flat`` and makes each tensor's ``values`` a view
+    into it, so Adam, snapshots and checkpoints each handle one array.
+    """
 
     backbone: str
     in_dim: int
@@ -64,26 +70,34 @@ class ModelParams:
     num_layers: int
     sgc_k: int
     params: dict[str, Tensor]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate([t.values for t in self.params.values()], axis=None)
+        offset = 0
+        for t in self.params.values():
+            t.values = self.flat[offset : offset + t.values.size].reshape(t.shape)
+            offset += t.values.size
 
     def named_values(self) -> dict[str, np.ndarray]:
         return {name: t.values for name, t in self.params.items()}
 
-    def named_grads(self) -> dict[str, np.ndarray]:
-        return {
-            name: t.grad if t.grad is not None else np.zeros_like(t.values)
-            for name, t in self.params.items()
-        }
+    def flat_grad(self) -> np.ndarray:
+        """Every leaf gradient in ``flat``'s layout; zeros for a parameter without one."""
+        return np.concatenate(
+            [t.grad if t.grad is not None else np.zeros(t.shape) for t in self.params.values()],
+            axis=None,
+        )
 
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.zero_grad()
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self.params.items()}
+    def snapshot(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, t in self.params.items():
-            np.copyto(t.values, snap[name])
+    def restore(self, snap: np.ndarray) -> None:
+        np.copyto(self.flat, snap)
 
 
 @dataclass
@@ -176,29 +190,33 @@ def sum_adjacency(g: Graph) -> sp.csr_array:
     return sp.csr_array((values, g.csr_targets, g.csr_offsets), shape=(g.num_nodes,) * 2)
 
 
-def _cached(g: Graph, key, builder):
-    if key not in g._memo:
-        g._memo[key] = builder()
-    return g._memo[key]
+def _adjacency(g: Graph, adj_key: str) -> tuple[sp.csr_array, sp.csr_array]:
+    """``(s, s_t)``: a propagation matrix and its transpose for ``spmm``, built once per graph.
 
-
-def _adjacency(g: Graph, adj_key: str) -> sp.csr_array:
+    The GCN and sum adjacencies are symmetric bit for bit, so ``s_t`` is ``s``
+    itself; only the row-normalized mean adjacency stores a CSR transpose.
+    """
     # looked up per call, so a wrapper set on this module's builders sees them
     build = {"gcn_adj": gcn_normalized_adjacency, "mean_adj": mean_adjacency,
              "sum_adj": sum_adjacency}[adj_key]
-    return _cached(g, adj_key, lambda: build(g))
+
+    def both():
+        s = build(g)
+        return s, s.T.tocsr() if adj_key == "mean_adj" else s
+
+    return _memoized(g, adj_key, both)
 
 
 def _propagated(g: Graph, adj_key: str, k: int) -> Tensor:
     """Constant ``adj^k @ g.features``, computed once per graph."""
 
     def propagate():
-        mat, out = _adjacency(g, adj_key), g.features
+        mat, out = _adjacency(g, adj_key)[0], g.features
         for _ in range(k):
             out = mat @ out
         return Tensor(out)
 
-    return _cached(g, (adj_key, k), propagate)
+    return _memoized(g, (adj_key, k), propagate)
 
 
 def forward(
@@ -211,13 +229,13 @@ def forward(
 ) -> ForwardOutput:
     """Run the backbone over the whole graph.
 
-    The propagation matrices and the constant layer-0 aggregate of the input
-    features depend on ``g`` alone, so the first call on a graph builds them
-    into its memo and later calls on that graph reuse them: GCN's layer 0 is
-    ``(ÂX)W₀ + b₀``, SAGE's reads ``[X | mean(X)]`` and GIN's ``ΣX`` from
-    it, and SGC's whole input is ``Â^k X``. Dropout fires only when
-    ``training`` is true and ``dropout_rate`` > 0, in which case ``rng`` is
-    required; it acts between layers, never on X.
+    The propagation matrices, their transposes and the constant layer-0
+    aggregate of the input features depend on ``g`` alone, so the first call
+    on a graph builds them into its memo and later calls on that graph reuse
+    them: GCN's layer 0 is ``(ÂX)W₀ + b₀``, SAGE's reads ``[X | mean(X)]``
+    and GIN's ``ΣX`` from it, and SGC's whole input is ``Â^k X``. Dropout
+    fires only when ``training`` is true and ``dropout_rate`` > 0, in which
+    case ``rng`` is required; it acts between layers, never on X.
     """
     if g.num_features != params.in_dim:
         raise ValueError(f"graph has {g.num_features} features, model expects {params.in_dim}")
@@ -235,19 +253,20 @@ def forward(
         return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
 
     adj_key = {"gcn": "gcn_adj", "sage": "mean_adj", "gin": "sum_adj"}[params.backbone]
-    adj = _adjacency(g, adj_key)
+    adj, adj_t = _adjacency(g, adj_key)
     h = emb = Tensor(g.features)
     for i in range(n_layers):
         ax = _propagated(g, adj_key, 1) if i == 0 else None
         if params.backbone == "gcn":
             w, b = p[f"layer{i}.weight"], p[f"layer{i}.bias"]
-            h = linear(ax, w, b) if i == 0 else add(spmm(adj, matmul(h, w)), b)
+            h = linear(ax, w, b) if i == 0 else add(spmm(adj, adj_t, matmul(h, w)), b)
         elif params.backbone == "sage":
-            combined = (_cached(g, "sage_in", lambda: concat_cols(h, ax)) if i == 0
-                        else concat_cols(h, spmm(adj, h)))
+            combined = (_memoized(g, "sage_in", lambda: concat_cols(h, ax)) if i == 0
+                        else concat_cols(h, spmm(adj, adj_t, h)))
             h = linear(combined, p[f"layer{i}.weight"], p[f"layer{i}.bias"])
         else:  # gin
-            agg = add(add(h, scalar_mul(p[f"layer{i}.eps"], h)), ax if i == 0 else spmm(adj, h))
+            agg = add(add(h, scalar_mul(p[f"layer{i}.eps"], h)),
+                      ax if i == 0 else spmm(adj, adj_t, h))
             z = relu(linear(agg, p[f"layer{i}.mlp0.weight"], p[f"layer{i}.mlp0.bias"]))
             h = linear(z, p[f"layer{i}.mlp1.weight"], p[f"layer{i}.mlp1.bias"])
         if i < n_layers - 1:

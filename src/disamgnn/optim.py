@@ -2,11 +2,14 @@
 
 Weight decay is folded into the gradient (g + wd * p) before the moment
 updates, i.e. plain L2 regularization rather than AdamW-style decoupling.
+The step works on the model's one flat parameter buffer (``ModelParams.flat``)
+and its gradient in the same layout, so every parameter moves with one set
+of elementwise ops; each element's arithmetic is that of a per-tensor step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,35 +24,25 @@ class AdamState:
     lr: float = 1e-3
     weight_decay: float = 5e-4
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # first moments, in the parameters' layout
+    v: np.ndarray | None = None  # second moments, likewise
 
 
-def adam_step(
-    state: AdamState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Apply one in-place Adam update to every named parameter array."""
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Apply one in-place Adam update to ``params`` with gradient ``grads`` of the same shape."""
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    for name, p in params.items():
-        if name not in grads:
-            raise KeyError(f"missing gradient for parameter {name!r}")
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}"
-            )
-        if state.weight_decay:
-            g = g + state.weight_decay * p
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    g = grads + state.weight_decay * params if state.weight_decay else grads
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _class_ids, _integers, _node_index, _node_rows, node_homophily_vector
+from .graph import (Graph, _class_ids, _frozen, _integers, _memoized, _node_index, _node_rows,
+                    node_homophily_vector)
 
 __all__ = [
     "TIER_NAMES",
@@ -82,12 +83,19 @@ def class_size_tiers(labels, num_classes: int) -> np.ndarray:
 
 
 def _neighbor_tiers(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tier per class, node homophily, (n, 3) count of each node's neighbors per tier)."""
-    tiers = class_size_tiers(g.labels, g.num_classes)
-    arc_src = np.repeat(np.arange(g.num_nodes), g.degrees())
-    arc_tier = tiers[g.labels[g.csr_targets]]
-    counts = np.bincount(arc_src * 3 + arc_tier, minlength=3 * g.num_nodes).reshape(-1, 3)
-    return tiers, node_homophily_vector(g), counts
+    """(tier per class, node homophily, (n, 3) count of each node's neighbors per tier).
+
+    Computed once per graph and kept, read-only, in its memo for both strategies.
+    """
+
+    def compute():
+        tiers = class_size_tiers(g.labels, g.num_classes)
+        arc_src = np.repeat(np.arange(g.num_nodes), g.degrees())
+        arc_tier = tiers[g.labels[g.csr_targets]]
+        counts = np.bincount(arc_src * 3 + arc_tier, minlength=3 * g.num_nodes).reshape(-1, 3)
+        return tuple(_frozen(a) for a in (tiers, node_homophily_vector(g), counts))
+
+    return _memoized(g, "neighbor_tiers", compute)
 
 
 def strategy1_groups(g: Graph) -> NodeGroups:

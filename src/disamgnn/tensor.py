@@ -10,8 +10,9 @@ The op set is deliberately closed: matmul, linear, spmm, add, relu,
 scalar_mul, row_l2_normalize, softmax_rows, concat_cols, pair_softplus,
 dropout. Each one has a finite-difference test; the scalar readout those
 tests differentiate through, ``weighted_sum``, lives in tests/oracles.py.
-``spmm(s, x)`` takes ``s`` as a scipy sparse array and ``pair_softplus(x, plan)``
-its pairs as a ``PairPlan``, checked once: both are constants of the tape.
+``spmm(s, s_t, x)`` takes ``s`` and its transpose ``s_t`` as scipy sparse
+arrays and ``pair_softplus(x, plan)`` its pairs as a ``PairPlan``, checked
+once: all are constants of the tape, built by the caller once, not per call.
 """
 
 from __future__ import annotations
@@ -163,15 +164,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(vals, (x, w, b), grad_fn)
 
 
-def spmm(s: _sp.sparray, x: Tensor) -> Tensor:
-    """Sparse-dense product s @ x for a scipy sparse array s; gradient flows to x only."""
-    if s.shape[1] != x.shape[0]:
-        raise ValueError(f"spmm shape mismatch {s.shape} @ {x.shape}")
+def spmm(s: _sp.sparray, s_t: _sp.sparray, x: Tensor) -> Tensor:
+    """Sparse-dense product s @ x for a scipy sparse array s; gradient flows to x only.
+
+    ``s_t`` must equal ``s.T``: the backward returns ``s_t @ g``. The caller
+    builds it once per matrix, so no call pays for a transpose; a matrix that
+    equals its transpose bit for bit passes itself.
+    """
+    if s.shape[1] != x.shape[0] or s_t.shape != s.shape[::-1]:
+        raise ValueError(f"spmm shape mismatch {s.shape} @ {x.shape} (transpose {s_t.shape})")
     vals = s @ x.values
 
     def grad_fn(g):
         if x.requires_grad:
-            x._take_grad(s.T @ g)
+            x._take_grad(s_t @ g)
 
     return _result(vals, (x,), grad_fn)
 

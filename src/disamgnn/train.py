@@ -186,7 +186,7 @@ def train(
 
         params.zero_grads()
         backward(total)
-        adam_step(opt, params.named_values(), params.named_grads())
+        adam_step(opt, params.flat, params.flat_grad())
 
         records.append(
             EpochRecord(

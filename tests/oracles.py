@@ -4,12 +4,15 @@ Each one computes, for one value, one pair or one node, what the package
 computes for whole arrays at once. ``weighted_sum`` is the one tape op kept
 here: the scalar readout the finite-difference tests differentiate through.
 ``pair_softplus`` gathers every pair's own rows: the package's op, which
-gathers each unordered pair once, must reproduce its bits.
+gathers each unordered pair once, must reproduce its bits. ``adam_step``
+and ``checkpoint_blob`` handle one parameter tensor at a time: the package,
+which keeps every parameter in one flat buffer, must reproduce their bits.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from disamgnn.optim import BETA1, BETA2, EPS
 from disamgnn.tensor import Tensor, _result
 
 
@@ -99,3 +102,33 @@ def neighbor_pools(zn, g, v: int, pos_ratio: float, neg_ratio: float):
         pos = np.empty(0, dtype=np.int64)
     neg = nbr[sims <= neg_ratio * m]
     return pos.astype(np.int64), neg.astype(np.int64)
+
+
+def adam_step(state, params: dict, grads: dict) -> dict:
+    """One in-place Adam step, tensor by tensor, over dicts of named arrays.
+
+    ``state`` is an ``AdamState`` whose ``m`` and ``v`` are dicts, empty at
+    the start.
+    """
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    for name, p in params.items():
+        g = grads[name]
+        if state.weight_decay:
+            g = g + state.weight_decay * p
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    return params
+
+
+def checkpoint_blob(params) -> bytes:
+    """A checkpoint's .bin bytes, written entry by entry as little-endian float64."""
+    return b"".join(np.ascontiguousarray(t.values, dtype="<f8").tobytes()
+                    for t in params.params.values())

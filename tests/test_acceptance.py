@@ -27,9 +27,9 @@ from disamgnn.ambiguity import (
 )
 from disamgnn.metrics import accuracy
 from disamgnn.models import BACKBONES, cross_entropy_loss, forward, init_model
-from disamgnn.optim import AdamState, adam_step
+from disamgnn.optim import AdamState
 from disamgnn.regions import strategy2_groups
-from oracles import weighted_sum
+from oracles import adam_step, weighted_sum
 
 AMB_SEEDS = (0, 1, 2)
 SPLIT_STREAM = 104729  # same split stream tag the CLI uses
@@ -101,7 +101,7 @@ def op_sweep_worst():
 
     sp = csr_array(np.where(rng.random((4, 3)) < 0.6, rng.normal(size=(4, 3)), 0.0))
     x = t((3, 2))
-    worst = max(worst, reduce_fd(lambda: T.spmm(sp, x), x))
+    worst = max(worst, reduce_fd(lambda: T.spmm(sp, sp.T, x), x))
 
     a, b = t((3, 4)), t((3, 4))
     worst = max(worst, reduce_fd(lambda: T.add(a, b), a, b))
@@ -370,14 +370,15 @@ def test_criterion_3_disambiguation_properties_hold(criterion):
 
 def plain_ce_train(cfg, g, masks):
     """Independent cross-entropy-only loop mirroring the public trainer's
-    seeding, evaluation cadence, early stopping, and best-snapshot rules."""
+    seeding, evaluation cadence, early stopping, and best-snapshot rules.
+    Its Adam step is the per-tensor oracle, not the trainer's flat one."""
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
     init_rng = np.random.default_rng(streams[0])
     dropout_rng = np.random.default_rng(streams[1])
     params = init_model(cfg.backbone, g.num_features, g.num_classes,
                         hidden_dim=cfg.hidden_dim, num_layers=cfg.num_layers,
                         sgc_k=cfg.sgc_k, rng=init_rng)
-    opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay, m={}, v={})
     records = []
     best_val = -1.0
     best_epoch = -1
@@ -402,7 +403,9 @@ def plain_ce_train(cfg, g, masks):
         ce = cross_entropy_loss(train_out, g.labels, masks.train)
         params.zero_grads()
         T.backward(ce)
-        adam_step(opt, params.named_values(), params.named_grads())
+        grads = {name: t.grad if t.grad is not None else np.zeros(t.shape)
+                 for name, t in params.params.items()}
+        adam_step(opt, params.named_values(), grads)
         records.append((epoch, ce.item(), train_acc, val_acc))
     else:
         final_out = forward(params, g)

@@ -18,6 +18,7 @@ import disamgnn as d
 from disamgnn import cli
 from disamgnn import data as dataio
 from disamgnn import models as M
+from disamgnn import regions as R
 
 
 def read_csv(path):
@@ -212,6 +213,30 @@ def test_analyze_writes_group_reports(trained, bundle, tmp_path):
     header, rows = read_csv(str(out / "ambiguity_by_group.csv"))
     assert header == ["strategy", "group", "count", "mean_ambiguity"]
     assert {r[0] for r in rows} == {"strategy1", "strategy2"}
+
+
+def test_analyze_computes_node_homophily_once(trained, bundle, tmp_path, monkeypatch):
+    # both strategies read one neighbor-tier computation from the graph's memo
+    calls = []
+    homophily = R.node_homophily_vector
+    monkeypatch.setattr(R, "node_homophily_vector", lambda g: calls.append(1) or homophily(g))
+    ckpt = os.path.join(trained, "seed_0", "checkpoint")
+    amb = os.path.join(trained, "seed_0", "ambiguity.csv")
+    out = tmp_path / "reports"
+    assert cli.main(["analyze", "--dataset", bundle, "--checkpoint", ckpt,
+                     "--ambiguity", amb, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # the same bytes as each strategy computed alone on a fresh graph
+    g, _ = dataio.load_bundle(bundle)
+    preds = M.forward(dataio.load_checkpoint(ckpt), g).class_probs.argmax(axis=1)
+    scores = dataio.read_ambiguity_csv(amb)[0]
+    mask = dataio.make_split(g, rng=np.random.default_rng([104729, 0])).mask("test")
+    for tag, strategy in (("strategy1", R.strategy1_groups), ("strategy2", R.strategy2_groups)):
+        fresh, _ = dataio.load_bundle(bundle)
+        alone = tmp_path / f"{tag}_alone.csv"
+        dataio.write_group_report_csv(
+            R.group_report(strategy(fresh), preds, fresh.labels, scores, mask), str(alone))
+        assert read_bytes(str(alone)) == read_bytes(str(out / f"{tag}_report.csv")), tag
 
 
 def test_analyze_rejects_mismatched_ambiguity_file(trained, bundle, tmp_path, capsys):
@@ -568,6 +593,32 @@ def test_sweep_parallel_jobs_match_serial(bundle, tmp_path):
     assert cli.main(["sweep", "--dataset", bundle, "--out", str(parallel),
                      *SWEEP_FLAGS, "--jobs", "2"]) == 0
     assert read_bytes(str(serial)) == read_bytes(str(parallel))
+
+
+def test_sweep_builds_the_adjacency_once_per_worker(bundle, tmp_path, monkeypatch):
+    # each worker takes one chunk of cells and so unpickles one graph; the
+    # wrapper reaches forked workers through the patched module
+    log = tmp_path / "builds.txt"
+    build = M.gcn_normalized_adjacency
+
+    def logged(g):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build(g)
+
+    monkeypatch.setattr(M, "gcn_normalized_adjacency", logged)
+    flags = (*SWEEP_FLAGS, "--seeds", "0,1")
+    csvs = {}
+    for jobs in ("1", "2"):
+        log.unlink(missing_ok=True)
+        csvs[jobs] = tmp_path / f"sweep_{jobs}.csv"
+        assert cli.main(["sweep", "--dataset", bundle, "--out", str(csvs[jobs]),
+                         *flags, "--jobs", jobs]) == 0
+        pids = log.read_text().split()
+        workers = cli._sweep_workers(int(jobs), 4)
+        assert len(pids) == workers, jobs
+        assert (str(os.getpid()) in pids) == (workers == 1), jobs
+    assert read_bytes(str(csvs["1"])) == read_bytes(str(csvs["2"]))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -13,6 +13,7 @@ import pytest
 import scipy.stats
 
 import disamgnn as d
+import oracles
 from disamgnn import data as dataio
 
 
@@ -376,6 +377,16 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for name in params.params:
         assert np.array_equal(loaded.params[name].values,
                               params.params[name].values), name
+
+
+@pytest.mark.parametrize("backbone", d.BACKBONES)
+def test_checkpoint_bin_is_the_per_entry_writers_bytes(tmp_path, backbone):
+    params = random_params(backbone)
+    base = str(tmp_path / "ckpt")
+    d.save_checkpoint(params, base)
+    with open(base + ".bin", "rb") as fh:
+        assert fh.read() == oracles.checkpoint_blob(params)
+    assert d.load_checkpoint(base).flat.tobytes() == params.flat.tobytes()
 
 
 def test_checkpoint_corrupt_manifest_rejected(tmp_path):

@@ -80,13 +80,108 @@ def test_spmm_gradient_on_the_mean_adjacency_is_its_transpose():
     rng = np.random.default_rng(5)
     g = d.build_graph([(0, 1), (0, 2), (0, 3), (3, 4)], np.zeros((6, 1)),
                       np.array([0, 1, 0, 1, 0, 1]), 2)
-    adj = M.mean_adjacency(g)
+    adj, adj_t = M._adjacency(g, "mean_adj")
     dense = adj.toarray()
     assert not np.allclose(dense, dense.T)
     x = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     upstream = rng.normal(size=(6, 3))
-    T.backward(weighted_sum(T.spmm(adj, x), upstream))
+    T.backward(weighted_sum(T.spmm(adj, adj_t, x), upstream))
     assert np.allclose(x.grad, dense.T @ upstream, rtol=0, atol=1e-12)
+
+
+def _graph_with_an_isolated_node():
+    # node 5 has no edges: empty rows and columns in every adjacency
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]
+    rng = np.random.default_rng(6)
+    return d.build_graph(edges, rng.normal(size=(6, 2)), np.array([0, 1, 0, 1, 0, 1]), 2)
+
+
+@pytest.mark.parametrize("adj_key", ["gcn_adj", "mean_adj", "sum_adj"])
+@pytest.mark.parametrize("graph", ["preset", "isolated"])
+def test_spmm_backward_operand_is_the_transpose_bit_for_bit(graph, adj_key):
+    g = (d.sbm_generate(d.get_preset("ambiguity")) if graph == "preset"
+         else _graph_with_an_isolated_node())
+    adj, adj_t = M._adjacency(g, adj_key)
+    # the symmetric adjacencies are their own operand; only the mean one is copied
+    assert (adj_t is adj) == (adj_key != "mean_adj")
+    assert M._adjacency(g, adj_key)[1] is adj_t
+    rng = np.random.default_rng(12)
+    for width in (1, 7, 64):
+        upstream = rng.normal(size=(g.num_nodes, width))
+        x = T.Tensor(rng.normal(size=(g.num_nodes, width)), requires_grad=True)
+        T.backward(weighted_sum(T.spmm(adj, adj_t, x), upstream))
+        assert x.grad.tobytes() == (adj.T @ upstream).tobytes(), width
+
+
+@pytest.mark.parametrize("backbone", d.BACKBONES)
+def test_training_builds_no_sparse_transpose_per_backward(backbone, monkeypatch):
+    # five epochs, five backward passes: only SAGE's mean adjacency needs a
+    # transpose, built once with the graph's other constants
+    calls = []
+    for cls in (sp.csr_array, sp.csc_array):
+        transpose = cls.transpose
+        monkeypatch.setattr(cls, "transpose",
+                            lambda self, *a, transpose=transpose, **k:
+                            calls.append(type(self)) or transpose(self, *a, **k))
+    g = random_graph(np.random.default_rng(8), n=20)
+    masks = d.SplitMasks(train=np.arange(10), val=np.arange(10, 15), test=np.arange(15, 20))
+    cfg = d.TrainConfig(backbone=backbone, hidden_dim=6, max_epochs=5, patience=5)
+    d.train(cfg, g, masks)
+    assert len(calls) == (1 if backbone == "sage" else 0)
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter buffer
+
+
+@pytest.mark.parametrize("backbone", d.BACKBONES)
+def test_parameter_values_are_views_into_one_flat_buffer(backbone):
+    params = d.init_model(backbone, 5, 3, hidden_dim=4, num_layers=2,
+                          rng=np.random.default_rng(9))
+    values = params.named_values()
+    # checkpoint order, each tensor's values C-ordered
+    assert params.flat.ndim == 1 and params.flat.dtype == np.float64
+    assert params.flat.size == sum(v.size for v in values.values())
+    assert params.flat.tobytes() == b"".join(v.tobytes() for v in values.values())
+    params.flat[:] = np.arange(params.flat.size)
+    offset = 0
+    for name, v in values.items():
+        assert np.shares_memory(v, params.flat), name
+        assert np.array_equal(v.ravel(), np.arange(offset, offset + v.size)), name
+        offset += v.size
+    values[next(iter(values))][0, 0] = -1.0
+    assert params.flat[0] == -1.0
+
+
+def test_init_model_keeps_its_draw_order():
+    # the flat buffer packs what init_model drew, in the order it drew it
+    rng = np.random.default_rng(10)
+    params = d.init_model("gcn", 5, 3, hidden_dim=4, num_layers=2, rng=np.random.default_rng(10))
+    w0 = M._glorot(rng, 5, 4)
+    w1 = M._glorot(rng, 4, 3)
+    assert params.params["layer0.weight"].values.tobytes() == w0.tobytes()
+    assert params.params["layer1.weight"].values.tobytes() == w1.tobytes()
+
+
+def test_snapshot_and_restore_round_trip_the_flat_buffer():
+    params = d.init_model("gin", 5, 3, hidden_dim=4, rng=np.random.default_rng(11))
+    before = params.flat.tobytes()
+    snap = params.snapshot()
+    assert not np.shares_memory(snap, params.flat)
+    for t in params.params.values():
+        t.values += 1.0
+    assert params.flat.tobytes() != before
+    params.restore(snap)
+    assert params.flat.tobytes() == before
+    assert params.params["layer0.eps"].values.tobytes() == np.zeros((1, 1)).tobytes()
+
+
+def test_flat_grad_holds_zeros_for_a_parameter_without_gradient():
+    params = d.init_model("sgc", 5, 3, rng=np.random.default_rng(12))
+    params.params["linear.weight"].grad = np.full((5, 3), 2.0)
+    grad = params.flat_grad()
+    assert grad.shape == params.flat.shape
+    assert np.array_equal(grad, np.r_[np.full(15, 2.0), np.zeros(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +383,7 @@ def test_warm_cache_leaves_one_spmm_per_layer_after_the_first(backbone, num_laye
     warm = dict(g._memo)
     calls = []
     spmm = M.spmm
-    monkeypatch.setattr(M, "spmm", lambda s, x: calls.append(s) or spmm(s, x))
+    monkeypatch.setattr(M, "spmm", lambda s, s_t, x: calls.append(s) or spmm(s, s_t, x))
     d.forward(params, g)
     assert len(calls) == (0 if backbone == "sgc" else num_layers - 1)
     assert g._memo.keys() == warm.keys()

@@ -223,7 +223,7 @@ def test_fd_spmm():
     s = csr_array(dense)
     x = param(rng, 4, 3)
     w = rand_weights(rng, (5, 3))
-    fd_check(lambda: weighted_sum(T.spmm(s, x), w), [x])
+    fd_check(lambda: weighted_sum(T.spmm(s, s.T, x), w), [x])
 
 
 def test_fd_linear():
@@ -308,7 +308,7 @@ def test_fd_pair_softplus():
     pad = csr_array(np.eye(5, 4))
 
     def normalized():
-        return T.pair_softplus(T.row_l2_normalize(T.spmm(pad, a)), plan)
+        return T.pair_softplus(T.row_l2_normalize(T.spmm(pad, pad.T, a)), plan)
 
     fd_check(normalized, [a])
 
@@ -399,8 +399,8 @@ def test_fd_composite_two_layer_chain():
     w = rand_weights(rng, (6, 2))
 
     def loss():
-        h = T.relu(T.add(T.spmm(s, T.matmul(x, w1)), b1))
-        out = T.softmax_rows(T.spmm(s, T.matmul(h, w2)))
+        h = T.relu(T.add(T.spmm(s, s.T, T.matmul(x, w1)), b1))
+        out = T.softmax_rows(T.spmm(s, s.T, T.matmul(h, w2)))
         return weighted_sum(out, w)
 
     fd_check(loss, [w1, b1, w2])
@@ -446,7 +446,7 @@ def test_spmm_matches_dense_product():
         dense = (rng.random((7, 5)) < 0.4) * rng.normal(size=(7, 5))
         s = csr_array(dense)
         x = rng.normal(size=(5, 3))
-        out = T.spmm(s, T.Tensor(x))
+        out = T.spmm(s, s.T, T.Tensor(x))
         assert np.allclose(out.values, dense @ x, atol=1e-12)
         assert np.allclose(s.toarray(), dense, atol=0)
 
@@ -489,6 +489,11 @@ def test_op_shape_errors():
         weighted_sum(a, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         T.scalar_mul(a, a)
+    s = csr_array(np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        T.spmm(s, s.T, T.Tensor(np.zeros((3, 3))))
+    with pytest.raises(ValueError):
+        T.spmm(s, s, b)  # the transpose operand has the wrong shape
     with pytest.raises(ValueError):
         T.PairPlan([1, 0], [0, 1], [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):

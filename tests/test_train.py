@@ -194,7 +194,7 @@ def two_forward_train(cfg, g, masks):
             contrast_val = contrast.item()
         params.zero_grads()
         T.backward(total)
-        d.adam_step(opt, params.named_values(), params.named_grads())
+        d.adam_step(opt, params.flat, params.flat_grad())
         records.append(d.EpochRecord(epoch, ce.item(), contrast_val, total.item(),
                                      train_acc, val_acc, int(state.ambiguous.size),
                                      float(state.scores.mean())))
