@@ -16,6 +16,8 @@ flowing to both endpoints of every pair.
 from __future__ import annotations
 
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,7 +145,7 @@ def select_ambiguous(scores: np.ndarray, threshold: float) -> np.ndarray:
 
 
 # Rows per block of the similarity scan are capped so that rows * num_nodes stays
-# close to this many entries: an 8 MB float64 similarity block plus a 1 MB mask.
+# close to this many entries: an 8 MB float64 similarity block plus two 1 MB masks.
 _SCAN_BLOCK_ELEMS = 1 << 20
 
 
@@ -216,10 +218,15 @@ def build_contrast_groups(
     distinct integers in [0, num_nodes); ``embeddings`` has one row per node.
 
     Each block of nodes makes one similarity product against a transposed
-    n x d copy of the normalized embeddings: at most max(2**20, num_nodes)
-    float64 entries (8 MB at that cap), then a boolean mask of that shape.
-    Both pool kinds are read from that product, so a similarity lying on a
-    cut point is decided by its bits, as for the auxiliary threshold.
+    n x d copy of the normalized embeddings, of at most max(2**20, num_nodes)
+    float64 entries (8 MB at that cap). Both pool kinds are read from that
+    product, so a similarity lying on a cut point is decided by its bits, as
+    for the auxiliary threshold. Memory is one reused product buffer plus two
+    boolean masks of its shape: one worker thread computes block k+1's
+    product, neighbor similarities and auxiliary mask while the calling
+    thread draws block k's auxiliary positives, still in node order. The
+    worker runs numpy only; ``rng`` is used on the calling thread alone, and
+    the worker is joined before the function returns.
     """
     emb = _node_rows(np.asarray(embeddings, dtype=np.float64), "embeddings", g.num_nodes, 2)
     nodes = _node_index(nodes, "nodes", g.num_nodes)
@@ -235,21 +242,42 @@ def build_contrast_groups(
     edge_row = np.repeat(np.arange(nodes.size), deg)
     sims, aux = np.empty(nbr.size), []  # each neighbor's similarity; each node's aux pool
     rows = max(1, _SCAN_BLOCK_ELEMS // max(zn.shape[0], 1))
-    for start in range(0, nodes.size, rows):
+    starts = range(0, nodes.size, rows)
+    prod = np.empty((min(rows, nodes.size), zn.shape[0]))
+    masks = (np.empty(prod.shape, dtype=bool), np.empty(prod.shape, dtype=bool))
+
+    def scan(k: int) -> np.ndarray:
+        """Block k's neighbor similarities into ``sims``; its aux-eligible mask."""
+        start = starts[k]
         block = nodes[start : start + rows]
         lo, hi = bounds[start], bounds[start + block.size]
         r, t = edge_row[lo:hi] - start, nbr[lo:hi]
-        prod = zn[block] @ zt
-        sims[lo:hi] = prod[r, t]
-        eligible = prod >= cfg.aux_similarity_min
-        del prod
+        out, eligible = prod[: block.size], masks[k % 2][: block.size]
+        np.matmul(zn[block], zt, out=out)
+        sims[lo:hi] = out[r, t]
+        np.greater_equal(out, cfg.aux_similarity_min, out=eligible)
         eligible[np.arange(block.size), block] = False
         eligible[r, t] = False
-        for row in eligible:
-            cand = row.nonzero()[0]
-            if cand.size > cfg.aux_samples:
-                cand = rng.choice(cand, size=cfg.aux_samples, replace=False)
-            aux.append(np.sort(cand))
+        return eligible
+
+    # Block 0 has nothing to overlap with, so the calling thread computes it, and
+    # the executor starts its thread on the first submit: a one-block refresh
+    # starts none. The calling thread polls for the next block instead of
+    # sleeping on it: on a 2-CPU host, refreshes whose waits slept left later
+    # work in the process (bundle loading, epochs) measurably slower.
+    ahead = None
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for k in range(len(starts)):
+            while ahead is not None and not ahead.done():
+                time.sleep(0)  # lets the worker take the interpreter lock
+            eligible = scan(k) if ahead is None else ahead.result()
+            if k + 1 < len(starts):
+                ahead = worker.submit(scan, k + 1)  # overwrites prod, not block k's mask
+            for row in eligible:
+                cand = row.nonzero()[0]
+                if cand.size > cfg.aux_samples:
+                    cand = rng.choice(cand, size=cfg.aux_samples, replace=False)
+                aux.append(np.sort(cand))
 
     m = np.repeat(np.maximum.reduceat(sims, bounds[:-1]), deg)  # the node's best, per neighbor
     is_pos, is_neg = (sims > cfg.pos_ratio * m) & (m > 0), sims <= cfg.neg_ratio * m

@@ -497,6 +497,7 @@ def get_preset(name: str) -> SbmSpec:
 # checkpoints
 
 _CKPT_DTYPE = "<f8"
+_CKPT_VERSION = 1
 
 
 def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None = None) -> None:
@@ -512,7 +513,7 @@ def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None 
         offset += t.values.nbytes
     manifest = {
         "format": "disamgnn-checkpoint",
-        "version": 1,
+        "version": _CKPT_VERSION,
         "backbone": params.backbone,
         "in_dim": params.in_dim,
         "hidden_dim": params.hidden_dim,
@@ -553,19 +554,20 @@ def load_checkpoint(base_path: str) -> ModelParams:
             raise ValueError(f"{path}: {key!r} must be of type {kind.__name__}, got {value!r}")
         return value
 
-    try:
-        params = init_model(
-            field("backbone", str), field("in_dim", int), field("num_classes", int),
-            hidden_dim=field("hidden_dim", int), num_layers=field("num_layers", int),
-            sgc_k=field("sgc_k", int), rng=np.random.default_rng(0),
-        )
+    if field("version", int) != _CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {manifest['version']!r}")
+    args = field("backbone", str), field("in_dim", int), field("num_classes", int)
+    dims = {key: field(key, int) for key in ("hidden_dim", "num_layers", "sgc_k")}
+    try:  # field() names the file itself, so only init_model's errors get the prefix
+        params = init_model(*args, **dims, rng=np.random.default_rng(0))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     entries = field("entries", list)
     found = [(e.get("name"), e.get("shape")) if isinstance(e, dict) else e for e in entries]
     layout = [(name, list(t.shape)) for name, t in params.params.items()]
+    # Compared by repr, so a 3.0 or a false never stands in for a 3 or a 0.
     for i, (got, want) in enumerate(itertools.zip_longest(found, layout)):
-        if got != want:
+        if repr(got) != repr(want):
             raise ValueError(
                 f"{path}: entry {i} is {got}, the {params.backbone} layout expects {want}"
             )
@@ -580,7 +582,7 @@ def load_checkpoint(base_path: str) -> ModelParams:
         )
     offset = 0
     for entry, (name, t) in zip(entries, params.params.items()):
-        if entry.get("offset") != offset:
+        if repr(entry.get("offset")) != repr(offset):
             raise ValueError(f"{path}: entry {name!r} is at offset {entry.get('offset')!r}, not {offset}")
         offset += t.values.nbytes
     params.flat[...] = np.frombuffer(blob, dtype=_CKPT_DTYPE)

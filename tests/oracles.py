@@ -7,6 +7,8 @@ here: the scalar readout the finite-difference tests differentiate through.
 gathers each unordered pair once, must reproduce its bits. ``adam_step``
 and ``checkpoint_blob`` handle one parameter tensor at a time: the package,
 which keeps every parameter in one flat buffer, must reproduce their bits.
+``gcn_normalized_adjacency`` builds Â through two sparse products: the
+package writes it straight onto the graph's CSR arrays, with the same bytes.
 """
 
 import numpy as np
@@ -132,3 +134,14 @@ def checkpoint_blob(params) -> bytes:
     """A checkpoint's .bin bytes, written entry by entry as little-endian float64."""
     return b"".join(np.ascontiguousarray(t.values, dtype="<f8").tobytes()
                     for t in params.params.values())
+
+
+def gcn_normalized_adjacency(g) -> sp.csr_array:
+    """D^-1/2 (A + I) D^-1/2 as diags(dinv) @ (A + I) @ diags(dinv)."""
+    n = g.num_nodes
+    adj = sp.csr_array(
+        (np.ones(g.csr_targets.shape[0]), g.csr_targets, g.csr_offsets), shape=(n, n)
+    )
+    adj = adj + sp.identity(n, format="csr")
+    dinv = 1.0 / np.sqrt(g.degrees() + 1.0)
+    return sp.diags_array(dinv) @ adj @ sp.diags_array(dinv)

@@ -5,6 +5,9 @@ so pool membership and loss values can be computed by hand. The randomized
 loss check re-derives every pair term with the scalar softplus.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -632,6 +635,80 @@ def test_blocked_builder_matches_per_node_oracle_at_d64(monkeypatch, block_elems
                 assert np.array_equal(pools.aux_pos, aux), f"aux pool of node {v}"
                 assert pools.pos.dtype == pools.neg.dtype == pools.aux_pos.dtype == np.int64
             assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def correlated_case(seed, n=50):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=n, p=0.2, feat_dim=2)
+    return g, rng.normal(size=(n, 16)) + rng.normal(size=16), rng.permutation(n)
+
+
+def assert_same_pools(groups, expected):
+    assert list(groups.pools) == list(expected)
+    for v, (pos, neg, aux) in expected.items():
+        pools = groups.pools[v]
+        for got, want in ((pools.pos, pos), (pools.neg, neg), (pools.aux_pos, aux)):
+            assert np.array_equal(got, want) and got.dtype == np.int64, f"pools of node {v}"
+
+
+def test_refresh_of_many_blocks_with_a_short_last_block_matches_oracle(monkeypatch):
+    monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", 7 * 50)  # 7 rows of 50 nodes
+    cfg = d.DisamConfig(aux_samples=3, aux_similarity_min=0.2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the worker and the draw loop trade the lock as often as they can
+    try:
+        for rep in range(6):
+            g, emb, nodes = correlated_case(rep)
+            selected = int((g.degrees()[nodes] > 0).sum())
+            assert selected > 14 and selected % 7 != 0  # three blocks or more, the last one short
+            ours_rng, ref_rng = np.random.default_rng(rep), np.random.default_rng(rep)
+            groups = d.build_contrast_groups(emb, g, nodes, cfg, ours_rng)
+            assert_same_pools(groups, per_node_contrast_groups(emb, g, nodes, cfg, ref_rng))
+            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class ChoiceFails:
+    def choice(self, *args, **kwargs):
+        raise RuntimeError("draw failed")
+
+
+@pytest.mark.parametrize("block_elems", [None, 50])
+def test_refresh_leaves_no_thread_running(monkeypatch, block_elems):
+    if block_elems is not None:  # one row per block, so a block is always in flight
+        monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", block_elems)
+    g, emb, nodes = correlated_case(4)
+    cfg = d.DisamConfig(aux_samples=1, aux_similarity_min=-1.0)  # every node draws
+    before = threading.active_count()
+    d.build_contrast_groups(emb, g, nodes, cfg, np.random.default_rng(0))
+    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="draw failed"):
+        d.build_contrast_groups(emb, g, nodes, cfg, ChoiceFails())
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("block_elems, threads", [(None, 0), (50, 1)], ids=["one-block", "many-blocks"])
+def test_refresh_starts_a_worker_only_for_a_second_block(monkeypatch, block_elems, threads):
+    if block_elems is not None:
+        monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", block_elems)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    g, emb, nodes = correlated_case(4)
+    d.build_contrast_groups(emb, g, nodes, d.DisamConfig(), np.random.default_rng(0))
+    assert len(started) == threads
+
+
+def test_pools_keep_their_values_after_a_second_refresh(monkeypatch):
+    monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", 7 * 50)
+    g, emb, nodes = correlated_case(5)
+    cfg = d.DisamConfig(aux_samples=3, aux_similarity_min=0.2)
+    first = d.build_contrast_groups(emb, g, nodes, cfg, np.random.default_rng(1))
+    kept = {v: [a.copy() for a in (p.pos, p.neg, p.aux_pos)] for v, p in first.pools.items()}
+    d.build_contrast_groups(-emb, g, nodes, cfg, np.random.default_rng(2))
+    for v, p in first.pools.items():
+        for got, want in zip((p.pos, p.neg, p.aux_pos), kept[v]):
+            assert np.array_equal(got, want), f"pools of node {v}"
 
 
 def test_build_groups_rejects_out_of_range_nodes():

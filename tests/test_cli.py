@@ -341,14 +341,22 @@ def test_analyze_rejects_a_negative_split_seed(trained, bundle, tmp_path, capsys
     (lambda m: m.pop("entries"), "'entries' must be of type list, got None"),
     (lambda m: m["entries"][0]["shape"].reverse(), "entry 0 is ('layer0.weight', [8, 3])"),
     (lambda m: m.update(hidden_dim="8"), "'hidden_dim' must be of type int, got '8'"),
-], ids=["renamed-entry", "no-entries", "transposed-shape", "string-hidden-dim"])
+    (lambda m: m.update(hidden_dim=True), "'hidden_dim' must be of type int, got True"),
+    (lambda m: m.update(backbone=7), "'backbone' must be of type str, got 7"),
+    (lambda m: m.update(version=99), "unsupported checkpoint version 99"),
+    (lambda m: m["entries"][0].update(offset=False), "entry 'layer0.weight' is at offset False, not 0"),
+    (lambda m: m["entries"][1].update(offset=192.0), "entry 'layer0.bias' is at offset 192.0, not 192"),
+    (lambda m: m["entries"][0]["shape"].__setitem__(0, 3.0),
+     "entry 0 is ('layer0.weight', [3.0, 8]), the gcn layout expects ('layer0.weight', [3, 8])"),
+], ids=["renamed-entry", "no-entries", "transposed-shape", "string-hidden-dim", "bool-hidden-dim",
+        "int-backbone", "version-99", "bool-offset", "float-offset", "float-shape"])
 def test_analyze_rejects_a_checkpoint_off_its_layout(trained, bundle, tmp_path, capsys, edit, reason):
     base = tmp_path / "checkpoint"
     edited_checkpoint(trained, base, edit)
     capsys.readouterr()
     assert cli.main(analyze_argv(trained, bundle, base, tmp_path / "r")) == 1
     line = single_error_line(capsys)
-    assert f"{base}.json" in line and reason in line, line
+    assert line.count(f"{base}.json") == 1 and reason in line, line
 
 
 def test_train_rejects_splits_without_a_test_key(bundle, tmp_path, capsys):

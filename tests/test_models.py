@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import disamgnn as d
 from disamgnn import models as M
 from disamgnn import tensor as T
+import oracles
 from oracles import weighted_sum
 
 
@@ -56,6 +57,21 @@ def test_normalized_adjacency_matches_dense_formula():
         g = random_graph(rng, n=20)
         got = d.gcn_normalized_adjacency(g).toarray()
         assert np.allclose(got, dense_gcn_adjacency(g), atol=1e-12)
+
+
+def test_normalized_adjacency_has_the_sparse_product_bytes():
+    rng = np.random.default_rng(21)
+    graphs = [d.sbm_generate(d.get_preset("ambiguity")),
+              d.build_graph([(0, 3), (3, 4), (1, 5)], np.zeros((7, 1)), np.zeros(7, dtype=np.int64), 2),
+              d.build_graph(np.zeros((0, 2), dtype=np.int64), np.zeros((1, 1)), np.zeros(1, dtype=np.int64), 2)]
+    graphs += [random_graph(rng, n=n, p=p) for n, p in [(20, 0.05), (40, 0.3), (60, 0.9)]]
+    for g in graphs:
+        got, want = d.gcn_normalized_adjacency(g), oracles.gcn_normalized_adjacency(g)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+        x = rng.normal(size=(g.num_nodes, 8))
+        assert (got @ x).tobytes() == (want @ x).tobytes()
 
 
 def test_mean_adjacency_rows_and_isolated():
