@@ -34,6 +34,7 @@ __all__ = [
     "ambiguity_scores",
     "select_ambiguous",
     "build_contrast_groups",
+    "refresh",
     "jsd_contrast_loss",
 ]
 
@@ -283,6 +284,21 @@ def build_contrast_groups(
     is_pos, is_neg = (sims > cfg.pos_ratio * m) & (m > 0), sims <= cfg.neg_ratio * m
     pos, neg = _split_kept(nbr, is_pos, bounds), _split_kept(nbr, is_neg, bounds)
     return ContrastGroups({v: NodePools(*p) for v, p in zip(nodes.tolist(), zip(pos, neg, aux))})
+
+
+def refresh(
+    state: AmbiguityState, embeddings, g: Graph, cfg: DisamConfig, rng: np.random.Generator
+) -> ContrastGroups | None:
+    """Rescore the memory, reselect the ambiguous set and rebuild its pools.
+
+    Sets ``state.scores`` and ``state.ambiguous``. Returns None, drawing
+    nothing from ``rng``, when ``cfg.loss_weight`` is 0 or no node is selected.
+    """
+    state.scores = ambiguity_scores(state.memory)
+    state.ambiguous = select_ambiguous(state.scores, cfg.score_threshold)
+    if cfg.loss_weight == 0 or not state.ambiguous.size:
+        return None
+    return build_contrast_groups(embeddings, g, state.ambiguous, cfg, rng)
 
 
 def jsd_contrast_loss(embeddings: Tensor, groups: ContrastGroups) -> Tensor:

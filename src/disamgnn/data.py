@@ -246,6 +246,8 @@ def load_bundle(path: str) -> tuple[Graph, SplitMasks | None]:
                     f"graph's {g.num_nodes} nodes"
                 )
             ids[key] = np.asarray(value, dtype=np.int64)
+        if empty := [key for key in ids if not ids[key].size]:
+            raise ValueError(f"{splits_path}: {empty[0]!r} lists no node ids")
         try:
             masks = SplitMasks(**ids)
         except ValueError as exc:

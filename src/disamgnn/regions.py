@@ -23,6 +23,7 @@ import numpy as np
 
 from .graph import (Graph, _class_ids, _frozen, _integers, _memoized, _node_index, _node_rows,
                     node_homophily_vector)
+from .metrics import accuracy
 
 __all__ = [
     "TIER_NAMES",
@@ -154,7 +155,7 @@ def group_report(
         count = int(members.size)
         acc = amb = math.nan
         if count:
-            acc = float(np.mean(preds[members] == labels[members]))
+            acc = accuracy(preds, labels, members)
             amb = float(scores[members].mean())
         return {"group": label, "count": count, "accuracy": acc, "mean_ambiguity": amb}
 

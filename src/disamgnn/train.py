@@ -1,16 +1,18 @@
 """Full-graph training loop with ambiguity tracking and contrast refreshes.
 
-Each epoch runs one eval-mode forward whose output (1) feeds the
-prediction memory and the accuracy bookkeeping; (2) on refresh epochs
-(past warmup, every refresh_period) rebuilds the ambiguity scores,
-ambiguous set, contrast pools, and auxiliary positives from its
-embeddings; and (3) carries the tape for the loss, cross entropy plus the
-weighted contrast term over the pools from the last refresh, followed by
-one Adam step. With dropout > 0 the loss comes instead from a second,
-train-mode forward that draws the dropout masks. The contrast term is
-identically zero before the first refresh, when the ambiguous set is
-empty, or when loss_weight is 0, which makes those configurations
-reproduce plain cross-entropy training bit for bit.
+Each epoch runs one eval-mode forward whose output (1) passes the
+finiteness guard and competes for the best-validation slot; (2) feeds the
+prediction memory and the accuracy bookkeeping; (3) on refresh epochs
+(past warmup, every refresh_period) goes to ``ambiguity.refresh``, which
+rebuilds the scores, ambiguous set and contrast pools; and (4) carries the
+tape for the loss, cross entropy plus the weighted contrast term over the
+pools from the last refresh, followed by one Adam step. With dropout > 0
+the loss comes instead from a second, train-mode forward that draws the
+dropout masks. A run that does not stop early ends with a pass at epoch
+max_epochs that runs step (1) alone. The contrast term is identically zero
+before the first refresh, when the ambiguous set is empty, or when
+loss_weight is 0, which makes those configurations reproduce plain
+cross-entropy training bit for bit.
 
 Randomness is split into independent init/dropout/contrast streams derived
 from the config seed, so identical configs give identical histories.
@@ -23,15 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambiguity import (
-    AmbiguityState,
-    DisamConfig,
-    ambiguity_scores,
-    build_contrast_groups,
-    jsd_contrast_loss,
-    select_ambiguous,
-    update_memory,
-)
+from .ambiguity import AmbiguityState, DisamConfig, jsd_contrast_loss, refresh, update_memory
 from .graph import Graph, SplitMasks
 from .metrics import MetricsReport, accuracy, metrics_report
 from .models import ModelParams, cross_entropy_loss, forward, init_model
@@ -138,15 +132,12 @@ def train(
     best_snapshot = params.snapshot()
     stale = 0
 
-    for epoch in range(cfg.max_epochs):
+    for epoch in range(cfg.max_epochs + 1):
         out = forward(params, g)
         if not np.isfinite(out.class_probs).all():
             raise TrainingDiverged(f"non-finite class probabilities at epoch {epoch}, lr={cfg.lr}")
-        update_memory(state, out.class_probs, dc.memory_decay)
         preds = out.class_probs.argmax(axis=1)
-        train_acc = accuracy(preds, g.labels, masks.train)
         val_acc = accuracy(preds, g.labels, masks.val)
-
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
@@ -154,18 +145,15 @@ def train(
             stale = 0
         else:
             stale += 1
+        if epoch == cfg.max_epochs:
+            break  # the extra pass only evaluates the final update
+        update_memory(state, out.class_probs, dc.memory_decay)
         if stale >= cfg.patience:
             break
+        train_acc = accuracy(preds, g.labels, masks.train)
 
         if epoch >= dc.warmup_epochs and epoch % dc.refresh_period == 0:
-            state.scores = ambiguity_scores(state.memory)
-            state.ambiguous = select_ambiguous(state.scores, dc.score_threshold)
-            if dc.loss_weight > 0 and state.ambiguous.size:
-                groups = build_contrast_groups(
-                    out.embeddings.values, g, state.ambiguous, dc, contrast_rng
-                )
-            else:
-                groups = None
+            groups = refresh(state, out.embeddings.values, g, dc, contrast_rng)
 
         if cfg.dropout > 0:
             out = forward(params, g, training=True, dropout_rate=cfg.dropout, rng=dropout_rng)
@@ -200,14 +188,6 @@ def train(
                 mean_ambiguity=float(state.scores.mean()),
             )
         )
-    else:
-        # Ran to max_epochs: give the final update a chance at the best slot.
-        final_out = forward(params, g)
-        final_val = accuracy(final_out.class_probs.argmax(axis=1), g.labels, masks.val)
-        if final_val > best_val:
-            best_val = final_val
-            best_epoch = cfg.max_epochs
-            best_snapshot = params.snapshot()
 
     params.restore(best_snapshot)
     history = TrainHistory(records=records, best_epoch=best_epoch, best_val_acc=best_val)

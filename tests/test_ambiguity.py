@@ -711,6 +711,46 @@ def test_pools_keep_their_values_after_a_second_refresh(monkeypatch):
             assert np.array_equal(got, want), f"pools of node {v}"
 
 
+def refresh_case(seed=3):
+    """A graph, embeddings and a state whose memory holds random probability rows."""
+    g, emb, _ = correlated_case(seed)
+    state = d.AmbiguityState.create(g.num_nodes, g.num_classes)
+    state.memory[...] = np.random.default_rng(seed).dirichlet(np.ones(g.num_classes), g.num_nodes)
+    return g, emb, state
+
+
+def test_ambiguity_refresh_without_loss_weight_selects_but_draws_nothing():
+    g, emb, state = refresh_case()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    cfg = d.DisamConfig(loss_weight=0.0, score_threshold=0.5)
+    assert d.refresh(state, emb, g, cfg, rng) is None
+    assert np.array_equal(state.scores, d.ambiguity_scores(state.memory))
+    assert np.array_equal(state.ambiguous, d.select_ambiguous(state.scores, 0.5))
+    assert state.ambiguous.size
+    assert rng.bit_generator.state == before
+
+
+def test_ambiguity_refresh_of_an_empty_selection_returns_none():
+    g, emb, state = refresh_case()
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert d.refresh(state, emb, g, d.DisamConfig(score_threshold=1.0), rng) is None
+    assert state.ambiguous.size == 0 and state.scores.max() > 0
+    assert rng.bit_generator.state == before
+
+
+def test_ambiguity_refresh_builds_the_pools_of_its_selection():
+    g, emb, state = refresh_case()
+    cfg = d.DisamConfig(score_threshold=0.5, aux_samples=3, aux_similarity_min=0.2)
+    ours_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    groups = d.refresh(state, emb, g, cfg, ours_rng)
+    direct = d.build_contrast_groups(emb, g, state.ambiguous, cfg, ref_rng)
+    assert len(groups) and any(p.aux_pos.size for p in direct.pools.values())
+    assert_same_pools(groups, {v: (p.pos, p.neg, p.aux_pos) for v, p in direct.pools.items()})
+    assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_build_groups_rejects_out_of_range_nodes():
     g, emb = aux_test_graph()
     for nodes in ([-1], [0, g.num_nodes]):

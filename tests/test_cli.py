@@ -372,7 +372,8 @@ def test_train_rejects_splits_without_a_test_key(bundle, tmp_path, capsys):
 @pytest.mark.parametrize("blob, reason", [
     ({"train": [0, 0], "val": [3], "test": [4]}, "train mask contains duplicate node indices"),
     ({"train": [0], "val": [3], "test": [3, 4]}, "split masks overlap"),
-], ids=["repeated-id", "node-in-two-splits"])
+    ({"train": [0], "val": [3], "test": []}, "'test' lists no node ids"),
+], ids=["repeated-id", "node-in-two-splits", "empty-test"])
 def test_train_names_splits_json_when_its_masks_clash(bundle, tmp_path, capsys, blob, reason):
     broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
     with open(os.path.join(broken, "splits.json"), "w") as fh:

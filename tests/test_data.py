@@ -118,8 +118,11 @@ def test_bundle_error_cases(tmp_path):
     ({"train": [0.0], "val": [], "test": [1]}, "train"),
     ([[0], [1], []], "list"),
     ({"train": [0], "val": [], "test": [1, 7]}, "test"),
+    ({"train": [], "val": [0], "test": [1]}, "train"),
+    ({"train": [0], "val": [], "test": [1]}, "val"),
+    ({"train": [0], "val": [1], "test": []}, "test"),
 ], ids=["no-test", "scalar-test", "null-val", "string-ids", "float-ids", "not-an-object",
-        "id-outside-graph"])
+        "id-outside-graph", "empty-train", "empty-val", "empty-test"])
 def test_bundle_rejects_malformed_splits(tmp_path, blob, key):
     path = str(tmp_path / "splits")
     write_minimal_bundle(path)

@@ -248,6 +248,26 @@ def test_divergence_is_detected():
             run(cfg)
 
 
+def test_a_last_step_that_leaves_the_parameters_non_finite_is_caught(monkeypatch):
+    # the extra pass after the last epoch goes through the same guard as every epoch
+    module = sys.modules["disamgnn.train"]
+    inner = module.adam_step
+    epochs, steps = 12, []
+
+    def poisoning(opt, flat, grad):
+        inner(opt, flat, grad)
+        steps.append(None)
+        if len(steps) == epochs:
+            flat[...] = np.nan
+
+    monkeypatch.setattr(module, "adam_step", poisoning)
+    cfg = d.TrainConfig(max_epochs=epochs, patience=epochs, seed=0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(d.TrainingDiverged, match=f"at epoch {epochs},"):
+            run(cfg)
+    assert len(steps) == epochs
+
+
 def test_train_validates_masks_and_config():
     g = small_graph()
     masks = small_masks(g)
