@@ -2,13 +2,14 @@
 
 The tensor module is a deliberately small autodiff engine: 2-D float64
 tensors, a fixed vocabulary of ops, and a topological-order backward
-pass. This script chains the ops a training step runs (a relu layer, the
-softmax read by the loss, and the fused contrast term over row-normalized
-embeddings) into a scalar and confirms the analytic gradients against
-64-bit central differences, the same oracle the test suite uses.
+pass. This script chains the ops a training step runs (a relu layer, a
+sparse neighborhood propagation, and the fused contrast term over
+row-normalized embeddings) into a scalar and confirms the analytic gradients
+against 64-bit central differences, the same oracle the test suite uses.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from disamgnn.tensor import (
     PairPlan,
@@ -19,7 +20,7 @@ from disamgnn.tensor import (
     pair_softplus,
     relu,
     row_l2_normalize,
-    softmax_rows,
+    spmm,
 )
 
 # Contrast pairs as the model's regularizer compiles them: anchors ascending,
@@ -33,15 +34,19 @@ PAIRS = PairPlan(
     weights=[0.5, 0.5, 1.0, 1.0, 1.0],
 )
 
+# A 5-node path graph with self loops; it is symmetric, so it is its own
+# transpose, the operand of spmm's backward.
+ADJ = sp.csr_array(np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1))
+
 
 def build_loss(tensors, readout):
-    """A scalar mixing matmul, bias add, relu, softmax, and the contrast tail."""
+    """A scalar mixing matmul, bias add, relu, propagation, and the contrast tail."""
     x, w1, b1, w2 = tensors
     h = relu(add(matmul(x, w1), b1))          # (n, hidden), bias broadcast
-    out = matmul(h, w2)
+    out = spmm(ADJ, ADJ, matmul(h, w2))       # each node sums its neighbors' rows
     z = row_l2_normalize(out)                 # unit rows: pair dots are cosines
     contrast = pair_softplus(z, PAIRS)
-    mass = matmul(Tensor(np.ones((1, out.shape[0]))), softmax_rows(out))  # (1, classes)
+    mass = matmul(Tensor(np.ones((1, out.shape[0]))), out)  # (1, classes)
     return add(contrast, matmul(mass, readout))
 
 
@@ -65,7 +70,7 @@ def main() -> None:
     w1 = Tensor(rng.normal(scale=0.7, size=(4, 6)), requires_grad=True)
     b1 = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
     w2 = Tensor(rng.normal(scale=0.7, size=(6, 3)), requires_grad=True)
-    readout = Tensor(rng.normal(size=(3, 1)))  # softmax rows sum to 1: weight classes unevenly
+    readout = Tensor(rng.normal(size=(3, 1)))  # weights the column sums unevenly
     tensors = [x, w1, b1, w2]
 
     pre = add(matmul(x, w1), b1)

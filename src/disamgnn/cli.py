@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TrainingDiverged, FileNotFoundError, ValueError, OSError) as exc:
+    except (TrainingDiverged, FileNotFoundError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

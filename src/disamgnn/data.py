@@ -122,17 +122,17 @@ def _int64(text: str) -> int:
 def _read_edges(path: str) -> np.ndarray:
     def loop():
         with open(path) as fh:
-            content = fh.read().strip()
-        if not content:
-            return np.empty((0, 2), dtype=np.int64)
+            lines = fh.read().rstrip().splitlines()
         rows = []
-        for ln, line in enumerate(content.splitlines(), start=1):
+        for ln, line in enumerate(lines, start=1):
+            if not rows and not line.split():
+                continue  # a blank line before the first edge
             try:  # a wrong column count fails the unpacking, also with ValueError
                 u, v = map(_int64, line.split())
             except ValueError:
                 raise ValueError(f"{path}:{ln}: expected two integer columns") from None
             rows.append((u, v))
-        return np.asarray(rows, dtype=np.int64)
+        return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
 
     return _parse_table(path, loop, _INT_BYTES, row_shape=(2,), dtype=np.int64)
 
@@ -562,7 +562,7 @@ def load_checkpoint(base_path: str) -> ModelParams:
     dims = {key: field(key, int) for key in ("hidden_dim", "num_layers", "sgc_k")}
     try:  # field() names the file itself, so only init_model's errors get the prefix
         params = init_model(*args, **dims, rng=np.random.default_rng(0))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a model too large to allocate is a bad manifest
         raise ValueError(f"{path}: {exc}") from None
     entries = field("entries", list)
     found = [(e.get("name"), e.get("shape")) if isinstance(e, dict) else e for e in entries]

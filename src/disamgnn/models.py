@@ -27,7 +27,6 @@ from .graph import Graph, _class_ids, _integers, _memoized, _node_mask, _node_ro
 from .tensor import (
     Tensor,
     _result,
-    _row_max,
     add,
     concat_cols,
     dropout,
@@ -35,7 +34,6 @@ from .tensor import (
     matmul,
     relu,
     scalar_mul,
-    softmax_rows,
     spmm,
 )
 
@@ -60,7 +58,9 @@ class ModelParams:
 
     Construction packs the tensors' values, in ``params`` (checkpoint) order,
     into one float64 buffer ``flat`` and makes each tensor's ``values`` a view
-    into it, so Adam, snapshots and checkpoints each handle one array.
+    into it, so Adam, snapshots and checkpoints each handle one array. The
+    gradients likewise live in ``grad``, in ``flat``'s layout: each tensor's
+    ``grad`` is a view of its slice, which ``backward`` adds into.
     """
 
     backbone: str
@@ -71,27 +71,29 @@ class ModelParams:
     sgc_k: int
     params: dict[str, Tensor]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
+    _grad_views: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.flat = np.concatenate([t.values for t in self.params.values()], axis=None)
+        self.grad = np.zeros_like(self.flat)
+        self._grad_views = []
         offset = 0
         for t in self.params.values():
-            t.values = self.flat[offset : offset + t.values.size].reshape(t.shape)
-            offset += t.values.size
+            part = slice(offset, offset + t.values.size)
+            t.values = self.flat[part].reshape(t.shape)
+            t.grad = self.grad[part].reshape(t.shape)
+            self._grad_views.append(t.grad)
+            offset = part.stop
 
     def named_values(self) -> dict[str, np.ndarray]:
         return {name: t.values for name, t in self.params.items()}
 
-    def flat_grad(self) -> np.ndarray:
-        """Every leaf gradient in ``flat``'s layout; zeros for a parameter without one."""
-        return np.concatenate(
-            [t.grad if t.grad is not None else np.zeros(t.shape) for t in self.params.values()],
-            axis=None,
-        )
-
     def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
+        """Zero ``grad`` and point every tensor's ``grad`` back at its view of it."""
+        self.grad.fill(0.0)
+        for t, view in zip(self.params.values(), self._grad_views):
+            t.grad = view
 
     def snapshot(self) -> np.ndarray:
         return self.flat.copy()
@@ -129,6 +131,8 @@ def init_model(
         raise ValueError("num_layers must be >= 1")
     if sgc_k is None:
         sgc_k = num_layers
+    elif sgc_k < 0:
+        raise ValueError("sgc_k must be None or >= 0")
 
     dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [num_classes]
     params: dict[str, Tensor] = {}
@@ -255,7 +259,7 @@ def forward(
     if params.backbone == "sgc":
         emb = _propagated(g, "gcn_adj", params.sgc_k)
         h = linear(emb, p["linear.weight"], p["linear.bias"])
-        return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
+        return ForwardOutput(logits=h, embeddings=emb, class_probs=_softmax(h.values))
 
     adj_key = {"gcn": "gcn_adj", "sage": "mean_adj", "gin": "sum_adj"}[params.backbone]
     adj, adj_t = _adjacency(g, adj_key)
@@ -278,7 +282,25 @@ def forward(
             h = relu(h)
             h = emb = dropout(h, dropout_rate, rng) if use_dropout else h
 
-    return ForwardOutput(logits=h, embeddings=emb, class_probs=softmax_rows(h).values)
+    return ForwardOutput(logits=h, embeddings=emb, class_probs=_softmax(h.values))
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1, keepdims=True), one np.maximum per column.
+
+    Exact, NaN included, and for the few columns of a class axis far faster
+    than numpy's reduction over short rows.
+    """
+    out = a[:, :1].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out[:, 0], a[:, j], out=out[:, 0])
+    return out
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of logits, shifted by each row's max; no loss differentiates it."""
+    e = np.exp(x - _row_max(x))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy_loss(output, labels, mask) -> Tensor:

@@ -7,9 +7,9 @@ hands each node's gradient to that node's op once and then drops it, so
 only leaves (tensors no op produced) keep and accumulate ``.grad``.
 
 The op set is deliberately closed: matmul, linear, spmm, add, relu,
-scalar_mul, row_l2_normalize, softmax_rows, concat_cols, pair_softplus,
-dropout. Each one has a finite-difference test; the scalar readout those
-tests differentiate through, ``weighted_sum``, lives in tests/oracles.py.
+scalar_mul, row_l2_normalize, concat_cols, pair_softplus, dropout. Each
+one has a finite-difference test; the scalar readout those tests
+differentiate through, ``weighted_sum``, lives in tests/oracles.py.
 ``spmm(s, s_t, x)`` takes ``s`` and its transpose ``s_t`` as scipy sparse
 arrays and ``pair_softplus(x, plan)`` its pairs as a ``PairPlan``, checked
 once: all are constants of the tape, built by the caller once, not per call.
@@ -30,7 +30,6 @@ __all__ = [
     "relu",
     "scalar_mul",
     "row_l2_normalize",
-    "softmax_rows",
     "concat_cols",
     "pair_softplus",
     "PairPlan",
@@ -42,9 +41,11 @@ class Tensor:
     """A 2-D float64 array with optional gradient tracking.
 
     Scalars are stored as (1, 1) tensors and 1-D input is promoted to a
-    single row. On a leaf, ``grad`` is lazily allocated and accumulates
-    across ops and across repeated backward passes; call ``zero_grad``
-    between steps. ``backward`` leaves the ``grad`` of every op output None.
+    single row. On a leaf, ``grad`` is allocated by the first gradient,
+    unless its owner set an array there to add into (``ModelParams`` sets
+    views of one buffer), and accumulates across ops and across repeated
+    backward passes; call ``zero_grad`` between steps. ``backward`` leaves
+    the ``grad`` of every op output None.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -248,31 +249,6 @@ def row_l2_normalize(x: Tensor) -> Tensor:
             gx = (g - vals * inner) / safe
             gx[norms[:, 0] == 0] = 0.0
             x._take_grad(gx)
-
-    return _result(vals, (x,), grad_fn)
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=1, keepdims=True), one np.maximum per column.
-
-    Exact, NaN included, and for the few columns of a class axis far faster
-    than numpy's reduction over short rows.
-    """
-    out = a[:, :1].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(out[:, 0], a[:, j], out=out[:, 0])
-    return out
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Numerically stable row-wise softmax."""
-    e = np.exp(x.values - _row_max(x.values))
-    vals = e / e.sum(axis=1, keepdims=True)
-
-    def grad_fn(g):
-        if x.requires_grad:
-            inner = (g * vals).sum(axis=1, keepdims=True)
-            x._take_grad(vals * (g - inner))
 
     return _result(vals, (x,), grad_fn)
 

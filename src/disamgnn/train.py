@@ -174,7 +174,7 @@ def train(
 
         params.zero_grads()
         backward(total)
-        adam_step(opt, params.flat, params.flat_grad())
+        adam_step(opt, params.flat, params.grad)
 
         records.append(
             EpochRecord(

@@ -10,6 +10,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -348,8 +350,9 @@ def test_analyze_rejects_a_negative_split_seed(trained, bundle, tmp_path, capsys
     (lambda m: m["entries"][1].update(offset=192.0), "entry 'layer0.bias' is at offset 192.0, not 192"),
     (lambda m: m["entries"][0]["shape"].__setitem__(0, 3.0),
      "entry 0 is ('layer0.weight', [3.0, 8]), the gcn layout expects ('layer0.weight', [3, 8])"),
+    (lambda m: m.update(sgc_k=-5), "sgc_k must be None or >= 0"),
 ], ids=["renamed-entry", "no-entries", "transposed-shape", "string-hidden-dim", "bool-hidden-dim",
-        "int-backbone", "version-99", "bool-offset", "float-offset", "float-shape"])
+        "int-backbone", "version-99", "bool-offset", "float-offset", "float-shape", "negative-sgc-k"])
 def test_analyze_rejects_a_checkpoint_off_its_layout(trained, bundle, tmp_path, capsys, edit, reason):
     base = tmp_path / "checkpoint"
     edited_checkpoint(trained, base, edit)
@@ -454,6 +457,50 @@ def test_train_names_a_labels_file_it_cannot_parse(bundle, tmp_path, capsys):
     assert run_train(broken, tmp_path / "out") == 1
     line = single_error_line(capsys)
     assert line.startswith(f"error: {labels}:3: ") and "'x'" in line, line
+
+
+def test_train_numbers_edge_lines_from_the_top_of_the_file(bundle, tmp_path, capsys):
+    # leading blank lines are skipped, but they still count
+    broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
+    edges = os.path.join(broken, "edges.tsv")
+    rows = read_bytes(edges).decode().splitlines()
+    with open(edges, "w") as fh:
+        fh.write("\n".join(["", ""] + rows[:1] + ["1\tx"] + rows[1:]) + "\n")
+    capsys.readouterr()
+    assert run_train(broken, tmp_path / "out") == 1
+    assert single_error_line(capsys) == f"error: {edges}:4: expected two integer columns"
+
+
+class ArrayMemoryError(MemoryError):
+    """Like numpy's allocation error: built from a shape, not from a message."""
+
+    def __init__(self, shape):
+        super().__init__(f"Unable to allocate 21.8 TiB for an array with shape {shape}")
+
+
+def test_analyze_names_the_manifest_whose_model_does_not_fit_in_memory(
+        trained, bundle, tmp_path, capsys, monkeypatch):
+    def init_model(*args, **kwargs):
+        raise ArrayMemoryError((3, 10**12))
+
+    monkeypatch.setattr(dataio, "init_model", init_model)
+    base = tmp_path / "checkpoint"
+    edited_checkpoint(trained, base, lambda m: m.update(hidden_dim=10**12))
+    capsys.readouterr()
+    assert cli.main(analyze_argv(trained, bundle, base, tmp_path / "r")) == 1
+    assert single_error_line(capsys) == (
+        f"error: {base}.json: Unable to allocate 21.8 TiB for an array with shape (3, {10**12})")
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_turns_a_memory_error_into_one_error_line(bundle, tmp_path, capsys, monkeypatch):
+    def train(*args):
+        raise ArrayMemoryError((75, 10**12))
+
+    monkeypatch.setattr(cli, "train", train)
+    capsys.readouterr()
+    assert run_train(bundle, tmp_path / "out") == 1
+    assert single_error_line(capsys).startswith("error: Unable to allocate 21.8 TiB")
 
 
 @pytest.mark.parametrize("name, edit, reason", [
@@ -602,6 +649,21 @@ def test_sweep_parallel_jobs_match_serial(bundle, tmp_path):
     assert cli.main(["sweep", "--dataset", bundle, "--out", str(parallel),
                      *SWEEP_FLAGS, "--jobs", "2"]) == 0
     assert read_bytes(str(serial)) == read_bytes(str(parallel))
+
+
+def test_blas_thread_count_leaves_train_artifacts_unchanged(tmp_path):
+    # the thread count is read when numpy loads, so each run gets its own interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(d.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "disamgnn.cli", "train", "--dataset", "sbm:ambiguity",
+                        "--lambda", "1", "--epochs", "60", "--warmup", "20", "--refresh", "10",
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=300)
+        runs.append({str(path.relative_to(out)): path.read_bytes()
+                     for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(runs[0]) == 5 and runs[0] == runs[1]
 
 
 def test_sweep_builds_the_adjacency_once_per_worker(bundle, tmp_path, monkeypatch):

@@ -192,12 +192,18 @@ def test_snapshot_and_restore_round_trip_the_flat_buffer():
     assert params.params["layer0.eps"].values.tobytes() == np.zeros((1, 1)).tobytes()
 
 
-def test_flat_grad_holds_zeros_for_a_parameter_without_gradient():
+def test_a_parameter_without_gradient_reads_zeros_and_zero_grads_reattaches_its_view():
     params = d.init_model("sgc", 5, 3, rng=np.random.default_rng(12))
-    params.params["linear.weight"].grad = np.full((5, 3), 2.0)
-    grad = params.flat_grad()
-    assert grad.shape == params.flat.shape
-    assert np.array_equal(grad, np.r_[np.full(15, 2.0), np.zeros(3)])
+    weight, bias = params.params["linear.weight"], params.params["linear.bias"]
+    params.grad += 1.0  # left over from an earlier step
+    params.zero_grads()
+    T.backward(weighted_sum(weight, np.full((5, 3), 2.0)))
+    assert np.array_equal(params.grad, np.r_[np.full(15, 2.0), np.zeros(3)])
+    bias.grad = None
+    params.zero_grads()
+    assert np.shares_memory(bias.grad, params.grad)
+    T.backward(weighted_sum(bias, np.full((1, 3), 3.0)))
+    assert np.array_equal(params.grad, np.r_[np.zeros(15), np.full(3, 3.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +467,27 @@ def test_backward_keeps_owned_gradients_on_leaves_only(backbone):
                                      np.random.default_rng(5))
     assert groups.pairs().left.size > 0
 
+    weight = T.Tensor(1.0, requires_grad=True)  # a leaf outside the model
+
     def joint_loss():
         # a fresh generator per call keeps the dropout mask fixed
         out = d.forward(params, g, training=True, dropout_rate=0.3, rng=np.random.default_rng(4))
         ce = M.cross_entropy_loss(out, g.labels, np.arange(g.num_nodes))
-        return T.add(ce, T.scalar_mul(T.Tensor(1.0), d.jsd_contrast_loss(out.embeddings, groups)))
+        return T.add(ce, T.scalar_mul(weight, d.jsd_contrast_loss(out.embeddings, groups)))
 
     loss = joint_loss()
     T.backward(loss)
     nodes = tape_nodes(loss)
     assert all(t.grad is None for t in nodes if t._backward_fn is not None)
-    grads = [t.grad for t in nodes if t._backward_fn is None and t.grad is not None]
-    assert len(grads) == len(params.params)
+    leaves = [t for t in nodes if t._backward_fn is None and t.grad is not None]
+    assert {id(t) for t in leaves} == {id(t) for t in [weight, *params.params.values()]}
+    # the model's gradients are disjoint views of its one buffer; other leaves own theirs
+    assert weight.grad.flags.c_contiguous and weight.grad.flags.owndata
+    grads = [t.grad for t in params.params.values()]
     for i, grad in enumerate(grads):
-        assert grad.flags.c_contiguous and grad.flags.owndata
+        assert grad.base is params.grad and grad.flags.c_contiguous
         assert not any(np.shares_memory(grad, other) for other in grads[:i])
+    assert sum(grad.size for grad in grads) == params.grad.size
     # and the handed-down arrays still add up to the right gradients
     h = 1e-6
     for t in params.params.values():
@@ -544,6 +556,45 @@ def test_forward_validation_errors():
         d.init_model("mystery", 3, 2, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         d.init_model("gcn", 3, 2, num_layers=0, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="sgc_k must be None or >= 0"):
+        d.init_model("sgc", 3, 2, sgc_k=-1, rng=np.random.default_rng(0))
+
+
+def test_class_probs_equal_reduction_max_formula():
+    # numpy's row-max reduction is the reference: on each backbone's logits,
+    # and on the special values that no forward here produces, through the
+    # helper that forward calls
+    def reference(v):
+        e = np.exp(v - v.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(27)
+    g = random_graph(rng, n=40, num_classes=5)
+    for backbone in d.BACKBONES:
+        params = d.init_model(backbone, g.num_features, g.num_classes, hidden_dim=6, rng=rng)
+        params.flat *= 20.0
+        out = d.forward(params, g)
+        assert out.class_probs.tobytes() == reference(out.logits.values).tobytes(), backbone
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 3.5])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for cols in (1, 2, 3, 5, 8, 13):
+            v = rng.choice(specials, size=(300, cols))
+            v[::4] = rng.normal(size=(len(v[::4]), cols))
+            v[1::7, :] = v[1::7, :1]  # ties across the whole row
+            assert M._softmax(v).tobytes() == reference(v).tobytes(), cols
+
+
+def test_class_probs_sum_to_one_even_at_large_magnitude():
+    rng = np.random.default_rng(30)
+    x = rng.normal(scale=300.0, size=(8, 6))
+    g = d.build_graph([], x, np.arange(8) % 6, 6)
+    params = d.init_model("sgc", 6, 6, sgc_k=0, rng=rng)
+    params.params["linear.weight"].values[...] = np.eye(6)
+    out = d.forward(params, g)
+    assert np.array_equal(out.logits.values, x)
+    assert np.all(np.isfinite(out.class_probs))
+    assert np.allclose(out.class_probs.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(out.class_probs >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -168,23 +168,6 @@ def test_linear_is_bytes_of_add_matmul():
         assert grads[0] == grads[1]
 
 
-def test_softmax_rows_equals_reduction_max_formula():
-    # the old formula, with numpy's row-max reduction
-    def reference(v):
-        e = np.exp(v - v.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
-    rng = np.random.default_rng(27)
-    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 3.5])
-    with np.errstate(invalid="ignore", over="ignore"):
-        for cols in (1, 2, 3, 5, 8, 13):
-            v = rng.choice(specials, size=(300, cols))
-            v[::4] = rng.normal(size=(len(v[::4]), cols))
-            v[1::7, :] = v[1::7, :1]  # ties across the whole row
-            got = T.softmax_rows(T.Tensor(v)).values
-            assert got.tobytes() == reference(v).tobytes(), cols
-
-
 def test_repeated_backward_over_one_graph_adds_one_gradient_per_pass():
     # op outputs drop their grad after handing it down, so a second pass
     # over the same tape does not re-send the first pass's share
@@ -267,13 +250,6 @@ def test_fd_row_l2_normalize():
     x = param(rng, 5, 3)
     w = rand_weights(rng, (5, 3))
     fd_check(lambda: weighted_sum(T.row_l2_normalize(x), w), [x])
-
-
-def test_fd_softmax_rows():
-    rng = np.random.default_rng(16)
-    x = param(rng, 4, 5)
-    w = rand_weights(rng, (4, 5))
-    fd_check(lambda: weighted_sum(T.softmax_rows(x), w), [x])
 
 
 def test_fd_concat_cols():
@@ -400,7 +376,7 @@ def test_fd_composite_two_layer_chain():
 
     def loss():
         h = T.relu(T.add(T.spmm(s, s.T, T.matmul(x, w1)), b1))
-        out = T.softmax_rows(T.spmm(s, s.T, T.matmul(h, w2)))
+        out = T.spmm(s, s.T, T.matmul(h, w2))
         return weighted_sum(out, w)
 
     fd_check(loss, [w1, b1, w2])
@@ -429,15 +405,6 @@ def test_dropout_rate_zero_is_identity_and_draws_nothing():
 
 # ---------------------------------------------------------------------------
 # value invariants
-
-
-def test_softmax_rows_sum_to_one_even_at_large_magnitude():
-    rng = np.random.default_rng(30)
-    x = rng.normal(scale=300.0, size=(8, 6))
-    out = T.softmax_rows(T.Tensor(x))
-    assert np.all(np.isfinite(out.values))
-    assert np.allclose(out.values.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(out.values >= 0)
 
 
 def test_spmm_matches_dense_product():

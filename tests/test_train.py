@@ -194,7 +194,8 @@ def two_forward_train(cfg, g, masks):
             contrast_val = contrast.item()
         params.zero_grads()
         T.backward(total)
-        d.adam_step(opt, params.flat, params.flat_grad())
+        d.adam_step(opt, params.flat,
+                    np.concatenate([t.grad for t in params.params.values()], axis=None))
         records.append(d.EpochRecord(epoch, ce.item(), contrast_val, total.item(),
                                      train_acc, val_acc, int(state.ambiguous.size),
                                      float(state.scores.mean())))
