@@ -100,7 +100,7 @@ def main() -> None:
     backward(loss2)
     assert np.allclose(w1.grad, 2.0 * g_once)
     w1.zero_grad()
-    assert w1.grad is None
+    assert not w1.grad.any()
     print("accumulation across backward passes and zero_grad behave as documented")
 
 

@@ -122,14 +122,15 @@ def _int64(text: str) -> int:
 def _read_edges(path: str) -> np.ndarray:
     def loop():
         with open(path) as fh:
-            lines = fh.read().rstrip().splitlines()
+            lines = fh.read().rstrip().splitlines(keepends=True)
         rows = []
-        for ln, line in enumerate(lines, start=1):
+        for i, line in enumerate(lines):
             if not rows and not line.split():
                 continue  # a blank line before the first edge
             try:  # a wrong column count fails the unpacking, also with ValueError
                 u, v = map(_int64, line.split())
             except ValueError:
+                ln = "".join(lines[:i]).count("\n") + 1  # splitlines also breaks at \f and more
                 raise ValueError(f"{path}:{ln}: expected two integer columns") from None
             rows.append((u, v))
         return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
@@ -500,6 +501,16 @@ def get_preset(name: str) -> SbmSpec:
 
 _CKPT_DTYPE = "<f8"
 _CKPT_VERSION = 1
+_CKPT_ARCH = ("backbone", "in_dim", "hidden_dim", "num_classes", "num_layers", "sgc_k")  # in manifest order
+
+
+def _entries(params: ModelParams) -> list[dict]:
+    """The manifest entries of ``params``: each tensor's name, shape and byte offset in the .bin."""
+    entries, offset = [], 0
+    for name, t in params.params.items():
+        entries.append({"name": name, "shape": list(t.shape), "offset": offset})
+        offset += t.values.nbytes
+    return entries
 
 
 def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None = None) -> None:
@@ -508,24 +519,14 @@ def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None 
     ``split_seed`` is the seed whose split trained the parameters; it is
     recorded in the manifest (null when unknown) for ``analyze``.
     """
-    entries = []
-    offset = 0
-    for name, t in params.params.items():
-        entries.append({"name": name, "shape": list(t.shape), "offset": offset})
-        offset += t.values.nbytes
     manifest = {
         "format": "disamgnn-checkpoint",
         "version": _CKPT_VERSION,
-        "backbone": params.backbone,
-        "in_dim": params.in_dim,
-        "hidden_dim": params.hidden_dim,
-        "num_classes": params.num_classes,
-        "num_layers": params.num_layers,
-        "sgc_k": params.sgc_k,
+        **{key: getattr(params, key) for key in _CKPT_ARCH},
         "split_seed": split_seed,
         "dtype": _CKPT_DTYPE,
-        "total_bytes": offset,
-        "entries": entries,
+        "total_bytes": params.flat.nbytes,
+        "entries": _entries(params),
     }
     directory = os.path.dirname(base_path)
     if directory:
@@ -540,8 +541,8 @@ def save_checkpoint(params: ModelParams, base_path: str, split_seed: int | None 
 def load_checkpoint(base_path: str) -> ModelParams:
     """Read a checkpoint pair back into ModelParams, validating the layout.
 
-    The entries must name and shape, in order, the parameters that
-    init_model builds from the manifest's architecture fields.
+    The entries must be, in order, the ones ``save_checkpoint`` writes for
+    the model init_model builds from the manifest's architecture fields.
     """
     path = base_path + ".json"
     manifest = _read_json_object(path)
@@ -558,21 +559,17 @@ def load_checkpoint(base_path: str) -> ModelParams:
 
     if field("version", int) != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {manifest['version']!r}")
-    args = field("backbone", str), field("in_dim", int), field("num_classes", int)
-    dims = {key: field(key, int) for key in ("hidden_dim", "num_layers", "sgc_k")}
+    arch = {key: field(key, str if key == "backbone" else int) for key in _CKPT_ARCH}
     try:  # field() names the file itself, so only init_model's errors get the prefix
-        params = init_model(*args, **dims, rng=np.random.default_rng(0))
+        params = init_model(**arch, rng=np.random.default_rng(0))
     except (ValueError, MemoryError) as exc:  # a model too large to allocate is a bad manifest
         raise ValueError(f"{path}: {exc}") from None
-    entries = field("entries", list)
-    found = [(e.get("name"), e.get("shape")) if isinstance(e, dict) else e for e in entries]
-    layout = [(name, list(t.shape)) for name, t in params.params.items()]
-    # Compared by repr, so a 3.0 or a false never stands in for a 3 or a 0.
-    for i, (got, want) in enumerate(itertools.zip_longest(found, layout)):
+    # Other keys are ignored; repr keeps a 3.0 or a false from passing for a 3 or a 0.
+    for i, (got, want) in enumerate(itertools.zip_longest(field("entries", list), _entries(params))):
+        if isinstance(got, dict) and want:
+            got = {key: got.get(key) for key in want}
         if repr(got) != repr(want):
-            raise ValueError(
-                f"{path}: entry {i} is {got}, the {params.backbone} layout expects {want}"
-            )
+            raise ValueError(f"{path}: entry {i} is {got}, the {params.backbone} layout expects {want}")
     total = field("total_bytes", int)
     need = params.flat.nbytes
     with open(base_path + ".bin", "rb") as fh:
@@ -582,11 +579,6 @@ def load_checkpoint(base_path: str) -> ModelParams:
             f"{base_path}.bin is {len(blob)} bytes and the manifest's total_bytes is {total}, "
             f"the {params.backbone} layout needs {need}"
         )
-    offset = 0
-    for entry, (name, t) in zip(entries, params.params.items()):
-        if repr(entry.get("offset")) != repr(offset):
-            raise ValueError(f"{path}: entry {name!r} is at offset {entry.get('offset')!r}, not {offset}")
-        offset += t.values.nbytes
     params.flat[...] = np.frombuffer(blob, dtype=_CKPT_DTYPE)
     return params
 
@@ -654,14 +646,15 @@ def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     def loop():
         rows = []
         with open(path, newline="") as fh:
-            for ln, row in enumerate(csv.DictReader(fh), start=2):
+            reader = csv.DictReader(fh)
+            for row in reader:
                 try:
                     rows.append((
                         _int64(row["node_id"]), float(row["score"]), bool(int(row["is_ambiguous"]))
                     ))
                 except (TypeError, ValueError):
-                    raise ValueError(
-                        f"{path}:{ln}: expected an integer node_id, a score and a 0/1 flag"
+                    raise ValueError(  # line_num counts the blank lines DictReader skips
+                        f"{path}:{reader.line_num}: expected an integer node_id, a score and a 0/1 flag"
                     ) from None
         return np.array(rows, dtype=_AMBIGUITY_ROW)
 

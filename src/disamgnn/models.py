@@ -110,7 +110,7 @@ class ForwardOutput:
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))  # fans <= 0: an empty shape, or uniform rejects it
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 

@@ -44,8 +44,9 @@ class Tensor:
     single row. On a leaf, ``grad`` is allocated by the first gradient,
     unless its owner set an array there to add into (``ModelParams`` sets
     views of one buffer), and accumulates across ops and across repeated
-    backward passes; call ``zero_grad`` between steps. ``backward`` leaves
-    the ``grad`` of every op output None.
+    backward passes; call ``zero_grad`` between steps, which zeroes that
+    array in place, so a view stays a view. ``backward`` leaves the
+    ``grad`` of every op output None.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -74,7 +75,8 @@ class Tensor:
         return float(self.values[0, 0])
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def _take_grad(self, g: np.ndarray) -> None:
         # g must be a fresh C-contiguous float64 array that no one else holds:

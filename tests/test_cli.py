@@ -338,21 +338,35 @@ def test_analyze_rejects_a_negative_split_seed(trained, bundle, tmp_path, capsys
     assert not out.exists()
 
 
+WEIGHT0 = "{'name': 'layer0.weight', 'shape': [3, 8], 'offset': 0}"  # the fixture's first entry
+
+
 @pytest.mark.parametrize("edit, reason", [
-    (lambda m: m["entries"][0].update(name="layerX.weight"), "entry 0 is ('layerX.weight'"),
+    (lambda m: m["entries"][0].update(name="layerX.weight"),
+     f"entry 0 is {{'name': 'layerX.weight', 'shape': [3, 8], 'offset': 0}}, the gcn layout expects {WEIGHT0}"),
     (lambda m: m.pop("entries"), "'entries' must be of type list, got None"),
-    (lambda m: m["entries"][0]["shape"].reverse(), "entry 0 is ('layer0.weight', [8, 3])"),
+    (lambda m: m["entries"][0]["shape"].reverse(),
+     f"entry 0 is {{'name': 'layer0.weight', 'shape': [8, 3], 'offset': 0}}, the gcn layout expects {WEIGHT0}"),
     (lambda m: m.update(hidden_dim="8"), "'hidden_dim' must be of type int, got '8'"),
     (lambda m: m.update(hidden_dim=True), "'hidden_dim' must be of type int, got True"),
     (lambda m: m.update(backbone=7), "'backbone' must be of type str, got 7"),
     (lambda m: m.update(version=99), "unsupported checkpoint version 99"),
-    (lambda m: m["entries"][0].update(offset=False), "entry 'layer0.weight' is at offset False, not 0"),
-    (lambda m: m["entries"][1].update(offset=192.0), "entry 'layer0.bias' is at offset 192.0, not 192"),
+    (lambda m: m["entries"][0].update(offset=False),
+     f"entry 0 is {{'name': 'layer0.weight', 'shape': [3, 8], 'offset': False}}, the gcn layout expects {WEIGHT0}"),
+    (lambda m: m["entries"][1].update(offset=192.0),
+     "entry 1 is {'name': 'layer0.bias', 'shape': [1, 8], 'offset': 192.0}, "
+     "the gcn layout expects {'name': 'layer0.bias', 'shape': [1, 8], 'offset': 192}"),
     (lambda m: m["entries"][0]["shape"].__setitem__(0, 3.0),
-     "entry 0 is ('layer0.weight', [3.0, 8]), the gcn layout expects ('layer0.weight', [3, 8])"),
+     f"entry 0 is {{'name': 'layer0.weight', 'shape': [3.0, 8], 'offset': 0}}, the gcn layout expects {WEIGHT0}"),
     (lambda m: m.update(sgc_k=-5), "sgc_k must be None or >= 0"),
+    (lambda m: m.update(dtype="<f4"), "unsupported checkpoint dtype '<f4'"),
+    # Glorot bounds over fans that sum to 0 or less: no division by zero, no NaN range
+    (lambda m: m.update(in_dim=0, hidden_dim=0),
+     f"entry 0 is {WEIGHT0}, the gcn layout expects {{'name': 'layer0.weight', 'shape': [0, 0], 'offset': 0}}"),
+    (lambda m: m.update(in_dim=-3, hidden_dim=1), "negative dimensions are not allowed"),
 ], ids=["renamed-entry", "no-entries", "transposed-shape", "string-hidden-dim", "bool-hidden-dim",
-        "int-backbone", "version-99", "bool-offset", "float-offset", "float-shape", "negative-sgc-k"])
+        "int-backbone", "version-99", "bool-offset", "float-offset", "float-shape", "negative-sgc-k",
+        "f4-dtype", "empty-layer", "negative-layer"])
 def test_analyze_rejects_a_checkpoint_off_its_layout(trained, bundle, tmp_path, capsys, edit, reason):
     base = tmp_path / "checkpoint"
     edited_checkpoint(trained, base, edit)
@@ -471,6 +485,17 @@ def test_train_numbers_edge_lines_from_the_top_of_the_file(bundle, tmp_path, cap
     assert single_error_line(capsys) == f"error: {edges}:4: expected two integer columns"
 
 
+def test_train_counts_edge_lines_by_newline_only(bundle, tmp_path, capsys):
+    # a form feed breaks a line for str.splitlines, not for an editor or the other readers
+    broken = str(shutil.copytree(bundle, tmp_path / "bundle"))
+    edges = os.path.join(broken, "edges.tsv")
+    with open(edges, "w") as fh:
+        fh.write("\n\x0c\n0\t1\n1\tx\n")
+    capsys.readouterr()
+    assert run_train(broken, tmp_path / "out") == 1
+    assert single_error_line(capsys) == f"error: {edges}:4: expected two integer columns"
+
+
 class ArrayMemoryError(MemoryError):
     """Like numpy's allocation error: built from a shape, not from a message."""
 
@@ -545,6 +570,19 @@ def test_analyze_rejects_an_ambiguity_file_with_a_duplicate_row(trained, bundle,
                    "--ambiguity", str(bad), "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "duplicate node_id 0" in single_error_line(capsys)
+
+
+def test_analyze_numbers_ambiguity_lines_past_a_blank_line(trained, bundle, tmp_path, capsys):
+    # the csv reader skips the blank line 3, but it still counts
+    bad = tmp_path / "ambiguity.csv"
+    bad.write_text("node_id,score,is_ambiguous\n0,0.5,0\n\n1,x,0\n")
+    capsys.readouterr()
+    rc = cli.main(["analyze", "--dataset", bundle,
+                   "--checkpoint", os.path.join(trained, "seed_0", "checkpoint"),
+                   "--ambiguity", str(bad), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert single_error_line(capsys) == (
+        f"error: {bad}:4: expected an integer node_id, a score and a 0/1 flag")
 
 
 BEYOND_INT64 = "99999999999999999999"

@@ -206,6 +206,24 @@ def test_split_guarantees_train_node_for_rare_classes():
         assert np.sum(g.labels[masks.train] == c) >= 1
 
 
+def test_split_moves_validation_a_rare_class_cannot_give_to_the_class_with_most_room():
+    # class 0's validation quota goes unmet, since its one node trains, so class 2 gives one more
+    labels = np.repeat(np.arange(5), [1, 1, 91, 91, 91])
+    g = d.build_graph([(0, 1)], np.zeros((275, 2)), labels, 5)
+    masks = d.make_split(g, rng=np.random.default_rng(0))
+    counts = [np.bincount(labels[part], minlength=5).tolist()
+              for part in (masks.train, masks.val, masks.test)]
+    assert counts == [[1, 1, 4, 4, 4], [0, 0, 10, 9, 9], [0, 0, 77, 78, 78]]
+
+
+def test_split_rejects_a_train_split_too_small_to_cover_every_class():
+    # 5% of 20 nodes is one train node, and both classes need one
+    labels = np.repeat([0, 1], [1, 19])
+    g = d.build_graph([(0, 1)], np.zeros((20, 2)), labels, 2)
+    with pytest.raises(ValueError, match="train split too small to cover every class"):
+        d.make_split(g, rng=np.random.default_rng(0))
+
+
 def test_split_requires_every_class_present():
     labels = np.zeros(100, dtype=np.int64)
     labels[50:] = 1

@@ -206,6 +206,28 @@ def test_a_parameter_without_gradient_reads_zeros_and_zero_grads_reattaches_its_
     assert np.array_equal(params.grad, np.r_[np.zeros(15), np.full(3, 3.0)])
 
 
+def adam_steps(zero, steps=5):
+    """``params.flat``'s bytes after ``steps`` Adam steps of cross entropy, clearing with ``zero``."""
+    g = random_graph(np.random.default_rng(21))
+    params = d.init_model("gcn", 5, 3, hidden_dim=4, rng=np.random.default_rng(22))
+    start, opt = params.flat.tobytes(), d.AdamState(lr=0.01)
+    for _ in range(steps):
+        zero(params)
+        T.backward(M.cross_entropy_loss(M.forward(params, g), g.labels, np.arange(g.num_nodes)))
+        d.adam_step(opt, params.flat, params.grad)
+    assert params.flat.tobytes() != start
+    return params.flat.tobytes()
+
+
+def test_per_tensor_zero_grad_trains_like_zero_grads():
+    # zero_grad zeroes a view in place, so backward still adds into params.grad
+    def per_tensor(params):
+        for t in params.params.values():
+            t.zero_grad()
+
+    assert adam_steps(per_tensor) == adam_steps(M.ModelParams.zero_grads)
+
+
 # ---------------------------------------------------------------------------
 # forward passes against dense oracles
 

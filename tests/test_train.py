@@ -249,6 +249,16 @@ def test_divergence_is_detected():
             run(cfg)
 
 
+def test_a_non_finite_loss_is_caught_before_its_step():
+    # finite class probabilities and a finite contrast, but a weight that overflows their sum
+    g = d.sbm_generate(d.ambiguity_preset())
+    disam = d.DisamConfig(loss_weight=1e308, warmup_epochs=5, refresh_period=5, score_threshold=1e-6)
+    cfg = d.TrainConfig(max_epochs=30, seed=0, disam=disam)
+    with np.errstate(over="ignore"):
+        with pytest.raises(d.TrainingDiverged, match="non-finite loss at epoch 5: ce=1.07"):
+            run(cfg, g, small_masks(g))
+
+
 def test_a_last_step_that_leaves_the_parameters_non_finite_is_caught(monkeypatch):
     # the extra pass after the last epoch goes through the same guard as every epoch
     module = sys.modules["disamgnn.train"]
