@@ -16,9 +16,11 @@ flowing to both endpoints of every pair.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,50 +159,116 @@ class NodePools:
     aux_pos: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class ContrastGroups:
-    """Positive/negative/auxiliary pools for each selected node.
+    """Positive, negative and auxiliary pools of each selected node, as flat arrays.
 
-    ``pairs()`` compiles the pools into one read-only ``PairPlan`` on first
-    use and keeps it, so pools must not change after the loss has seen them.
+    ``nodes`` lists the anchors and ``sizes[i]`` the (pos, neg, aux_pos)
+    pool sizes of ``nodes[i]``; ``pos``, ``neg`` and ``aux_pos`` hold each
+    kind's pools one after another in ``nodes`` order. ``pairs()`` compiles
+    them into one read-only ``PairPlan`` on first use and keeps it, so the
+    arrays must not change after the loss has seen them. ``pools`` gives the
+    same pools as a dict of ``NodePools`` in ``nodes`` order, built when
+    first read; training never reads it.
     """
 
-    pools: dict[int, NodePools] = field(default_factory=dict)
-    _pairs: PairPlan | None = field(default=None, init=False, repr=False, compare=False)
+    nodes: np.ndarray
+    sizes: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    aux_pos: np.ndarray
+    _pairs: PairPlan | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.pools)
+        return len(self.nodes)
+
+    @cached_property
+    def pools(self) -> dict[int, NodePools]:
+        cuts = np.cumsum(self.sizes[:-1], axis=0)
+        pos, neg, aux = (np.split(a, cuts[:, i]) for i, a in enumerate((self.pos, self.neg, self.aux_pos)))
+        return {v: NodePools(*p) for v, p in zip(self.nodes.tolist(), zip(pos, neg, aux))}
 
     def pairs(self) -> PairPlan:
         """Every contrast pair as the ``PairPlan`` that ``pair_softplus`` takes, compiled once."""
         if self._pairs is None:
-            self._pairs = _compile_pairs(self.pools)
+            self._pairs = _compile_pairs(self)
         return self._pairs
 
 
-def _compile_pairs(pools: dict[int, NodePools]) -> PairPlan:
+def _compile_pairs(groups: ContrastGroups) -> PairPlan:
     """Flatten pools into pairs: anchors ascending, then pos, aux_pos, neg.
 
     Positives (neighbor and auxiliary pooled) carry sign -1 and negatives
     +1; each pair is weighted by one over the size of its pool.
     """
-    anchors = sorted(pools)
-    parts = [a for v in anchors for a in (pools[v].pos, pools[v].aux_pos, pools[v].neg)]
-    sizes = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)).reshape(-1, 3)
-    sizes = np.stack((sizes[:, 0] + sizes[:, 1], sizes[:, 2]), axis=1).ravel()  # pos, neg per anchor
+    order, sizes = np.argsort(groups.nodes), groups.sizes
+    # Where each pool starts in pos + neg + aux_pos; then every pool in pair order.
+    starts = np.cumsum(sizes, axis=0) - sizes + np.cumsum(sizes.sum(axis=0)) - sizes.sum(axis=0)
+    lens, starts = (a[order][:, [0, 2, 1]].ravel() for a in (sizes, starts))
+    at = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    pooled = np.stack((lens[0::3] + lens[1::3], lens[2::3]), axis=1).ravel()  # pos, neg per anchor
     return PairPlan(
-        np.repeat(np.repeat(np.asarray(anchors, dtype=np.int64), 2), sizes),
-        np.concatenate(parts) if parts else [],
-        np.repeat(np.tile([-1.0, 1.0], len(anchors)), sizes),
-        np.repeat(1.0 / np.maximum(sizes, 1), sizes),
+        np.repeat(np.repeat(groups.nodes[order], 2), pooled),
+        np.concatenate((groups.pos, groups.neg, groups.aux_pos))[at],
+        np.repeat(np.tile([-1.0, 1.0], order.size), pooled),
+        np.repeat(1.0 / np.maximum(pooled, 1), pooled),
     )
 
 
-def _split_kept(values: np.ndarray, keep: np.ndarray, bounds: np.ndarray) -> list:
-    """values[keep], cut into one array per segment bounds[i]:bounds[i + 1]."""
-    at = np.concatenate(([0], np.cumsum(keep)))[bounds].tolist()
-    kept = values[keep]
-    return [kept[a:b] for a, b in zip(at, at[1:])]
+def _kept(values: np.ndarray, keep: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """values[keep], and how many kept entries each segment bounds[i]:bounds[i + 1] has."""
+    return values[keep], np.diff(np.concatenate(([0], np.cumsum(keep)))[bounds])
+
+
+def _floyd_ranks(counts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Row i's ``k`` distinct ranks in [0, counts[i]), ascending.
+
+    Draw for draw, and leaving ``rng`` in the same state, these are the picks
+    of numpy's ``rng.choice(counts[i], k, replace=False)`` called row by row,
+    for rows outside its tail-shuffle branch. One ``integers`` call makes
+    each row's 2k - 1 draws: Floyd's k, the j-th in [0, counts[i] - k + j],
+    then the k - 1 of the shuffle that numpy applies to them and that leaves
+    them the same set. Floyd keeps a draw unless it was picked before, when
+    it takes that step's upper bound instead.
+    """
+    steps = np.arange(k)
+    highs = np.empty((counts.size, 2 * k - 1), dtype=np.int64)
+    highs[:, :k] = counts[:, None] - k + steps
+    highs[:, k:] = steps[:0:-1]
+    draws = rng.integers(0, highs, endpoint=True)[:, :k]
+    picked = np.zeros((counts.size, int(counts.max())), dtype=bool)
+    rows = np.arange(counts.size)
+    for j in steps:
+        v = draws[:, j]
+        seen = picked[rows, v]
+        v[seen] = highs[seen, j]
+        picked[rows, v] = True
+    draws.sort(axis=1)
+    return draws
+
+
+def _aux_picks(counts: np.ndarray, k: int, rng: np.random.Generator) -> list:
+    """Per row, which of its ``counts[i]`` candidates are auxiliary positives, as an index.
+
+    A row with more than ``k`` candidates keeps the ranks ``_floyd_ranks``
+    draws for it: the candidates, and the ``rng`` state, of
+    ``np.sort(rng.choice(cand, k, replace=False))`` called row by row, with
+    numpy's tail-shuffle rows still drawn by ``rng.choice``. Other rows keep
+    their first ``k`` candidates, which is all of them, and draw nothing.
+    """
+    picks = [slice(k)] * counts.size
+    drawn = np.flatnonzero(counts > k) if k else counts[:0]
+    # Rows that numpy's choice draws by shuffling a whole arange, not by Floyd's rule:
+    # each ends a run, and draws after the rows before it.
+    shuffled = (counts > 10_000) & (k > counts // 50)
+    for run in np.split(drawn, np.flatnonzero(shuffled[drawn]) + 1):
+        floyd = run[~shuffled[run]]
+        if floyd.size:
+            for r, ranks in zip(floyd.tolist(), _floyd_ranks(counts[floyd], k, rng)):
+                picks[r] = ranks
+        for r in run[shuffled[run]]:
+            picks[r] = np.sort(rng.choice(counts[r], k, replace=False))
+    return picks
 
 
 def build_contrast_groups(
@@ -214,8 +282,11 @@ def build_contrast_groups(
     non-neighbors (other than the node) at or above ``aux_similarity_min``,
     sampled uniformly without replacement and returned ascending.
 
-    They are drawn from ``rng`` one node at a time in the order of
-    ``nodes``, so the same order gives the same draws. ``nodes`` must be
+    The draws, and the state they leave ``rng`` in, are those of
+    ``rng.choice(cand, aux_samples, replace=False)`` called one node at a
+    time in the order of ``nodes`` for each node with more candidates
+    ``cand`` than that, so the same order gives the same draws; ``_aux_picks``
+    makes one block's draws with one ``rng.integers`` call. ``nodes`` must be
     distinct integers in [0, num_nodes); ``embeddings`` has one row per node.
 
     Each block of nodes makes one similarity product against a transposed
@@ -223,11 +294,12 @@ def build_contrast_groups(
     float64 entries (8 MB at that cap). Both pool kinds are read from that
     product, so a similarity lying on a cut point is decided by its bits, as
     for the auxiliary threshold. Memory is one reused product buffer plus two
-    boolean masks of its shape: one worker thread computes block k+1's
-    product, neighbor similarities and auxiliary mask while the calling
-    thread draws block k's auxiliary positives, still in node order. The
-    worker runs numpy only; ``rng`` is used on the calling thread alone, and
-    the worker is joined before the function returns.
+    boolean masks of its shape. On a process that may use two CPUs or more,
+    one worker thread computes block k+1's product, neighbor similarities and
+    auxiliary mask while the calling thread draws block k's auxiliary
+    positives. The worker runs numpy only; ``rng`` is used on the calling
+    thread alone, and the worker is joined before the function returns. The
+    pools come back as flat arrays (see ``ContrastGroups``).
     """
     emb = _node_rows(np.asarray(embeddings, dtype=np.float64), "embeddings", g.num_nodes, 2)
     nodes = _node_index(nodes, "nodes", g.num_nodes)
@@ -241,7 +313,7 @@ def build_contrast_groups(
     bounds = np.concatenate(([0], np.cumsum(deg)))
     nbr = g.csr_targets[np.repeat(g.csr_offsets[nodes] - bounds[:-1], deg) + np.arange(bounds[-1])]
     edge_row = np.repeat(np.arange(nodes.size), deg)
-    sims, aux = np.empty(nbr.size), []  # each neighbor's similarity; each node's aux pool
+    sims, aux = np.empty(nbr.size), []  # each neighbor's similarity; each block's (aux pools, sizes)
     rows = max(1, _SCAN_BLOCK_ELEMS // max(zn.shape[0], 1))
     starts = range(0, nodes.size, rows)
     prod = np.empty((min(rows, nodes.size), zn.shape[0]))
@@ -262,28 +334,30 @@ def build_contrast_groups(
         return eligible
 
     # Block 0 has nothing to overlap with, so the calling thread computes it, and
-    # the executor starts its thread on the first submit: a one-block refresh
-    # starts none. The calling thread polls for the next block instead of
-    # sleeping on it: on a 2-CPU host, refreshes whose waits slept left later
-    # work in the process (bundle loading, epochs) measurably slower.
-    ahead = None
+    # the executor starts its thread on the first submit: a one-block refresh, or
+    # one on a single CPU, where the overlap would only add hand-offs, starts
+    # none. The calling thread polls for the next block instead of sleeping on
+    # it: on a 2-CPU host, refreshes whose waits slept left later work in the
+    # process (bundle loading, epochs) measurably slower.
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    ahead, overlap = None, (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
     with ThreadPoolExecutor(max_workers=1) as worker:
         for k in range(len(starts)):
             while ahead is not None and not ahead.done():
                 time.sleep(0)  # lets the worker take the interpreter lock
             eligible = scan(k) if ahead is None else ahead.result()
-            if k + 1 < len(starts):
+            if overlap and k + 1 < len(starts):
                 ahead = worker.submit(scan, k + 1)  # overwrites prod, not block k's mask
-            for row in eligible:
-                cand = row.nonzero()[0]
-                if cand.size > cfg.aux_samples:
-                    cand = rng.choice(cand, size=cfg.aux_samples, replace=False)
-                aux.append(np.sort(cand))
+            counts = np.count_nonzero(eligible, axis=1)
+            picks = _aux_picks(counts, cfg.aux_samples, rng)
+            aux.append((np.concatenate([row.nonzero()[0][p] for row, p in zip(eligible, picks)]),
+                        np.minimum(counts, cfg.aux_samples)))
 
     m = np.repeat(np.maximum.reduceat(sims, bounds[:-1]), deg)  # the node's best, per neighbor
     is_pos, is_neg = (sims > cfg.pos_ratio * m) & (m > 0), sims <= cfg.neg_ratio * m
-    pos, neg = _split_kept(nbr, is_pos, bounds), _split_kept(nbr, is_neg, bounds)
-    return ContrastGroups({v: NodePools(*p) for v, p in zip(nodes.tolist(), zip(pos, neg, aux))})
+    (pos, pos_sizes), (neg, neg_sizes) = _kept(nbr, is_pos, bounds), _kept(nbr, is_neg, bounds)
+    aux_pos, aux_sizes = map(np.concatenate, zip(*aux)) if aux else (nbr[:0], nbr[:0])
+    return ContrastGroups(nodes, np.stack((pos_sizes, neg_sizes, aux_sizes), axis=1), pos, neg, aux_pos)
 
 
 def refresh(

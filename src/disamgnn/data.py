@@ -54,7 +54,7 @@ def _read_json_object(path: str) -> dict:
     with open(path) as fh:
         try:
             blob = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deeply nested
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(blob, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(blob).__name__!r}")

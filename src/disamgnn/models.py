@@ -110,7 +110,7 @@ class ForwardOutput:
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))  # fans <= 0: an empty shape, or uniform rejects it
+    limit = np.sqrt(6.0 / (fan_in + fan_out))  # init_model keeps every fan >= 1
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
@@ -127,6 +127,9 @@ def init_model(
     """Glorot-uniform weights, zero biases, zero GIN epsilons."""
     if backbone not in BACKBONES:
         raise ValueError(f"unknown backbone {backbone!r}, expected one of {BACKBONES}")
+    for name, dim in (("in_dim", in_dim), ("hidden_dim", hidden_dim), ("num_classes", num_classes)):
+        if dim < 1:
+            raise ValueError(f"{name} must be >= 1, got {dim}")
     if num_layers < 1:
         raise ValueError("num_layers must be >= 1")
     if sgc_k is None:

@@ -9,11 +9,14 @@ and ``checkpoint_blob`` handle one parameter tensor at a time: the package,
 which keeps every parameter in one flat buffer, must reproduce their bits.
 ``gcn_normalized_adjacency`` builds Â through two sparse products: the
 package writes it straight onto the graph's CSR arrays, with the same bytes.
+``contrast_groups`` packs pools written per node into the package's flat
+``ContrastGroups`` layout.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from disamgnn.ambiguity import ContrastGroups
 from disamgnn.optim import BETA1, BETA2, EPS
 from disamgnn.tensor import Tensor, _result
 
@@ -145,3 +148,11 @@ def gcn_normalized_adjacency(g) -> sp.csr_array:
     adj = adj + sp.identity(n, format="csr")
     dinv = 1.0 / np.sqrt(g.degrees() + 1.0)
     return sp.diags_array(dinv) @ adj @ sp.diags_array(dinv)
+
+
+def contrast_groups(pools: dict) -> ContrastGroups:
+    """``ContrastGroups`` of ``pools``, node -> (pos, neg, aux_pos), in dict order."""
+    rows = [[np.asarray(a, dtype=np.int64) for a in p] for p in pools.values()]
+    flat = [np.concatenate([r[i] for r in rows] + [np.empty(0, np.int64)]) for i in range(3)]
+    sizes = np.array([[a.size for a in r] for r in rows], dtype=np.int64).reshape(-1, 3)
+    return ContrastGroups(np.fromiter(pools, np.int64, len(pools)), sizes, *flat)

@@ -17,7 +17,6 @@ import disamgnn as d
 from disamgnn import tensor as T
 from disamgnn.ambiguity import (
     AmbiguityState,
-    ContrastGroups,
     DisamConfig,
     ambiguity_scores,
     build_contrast_groups,
@@ -29,7 +28,7 @@ from disamgnn.metrics import accuracy
 from disamgnn.models import BACKBONES, cross_entropy_loss, forward, init_model
 from disamgnn.optim import AdamState
 from disamgnn.regions import strategy2_groups
-from oracles import adam_step, weighted_sum
+from oracles import adam_step, contrast_groups, weighted_sum
 
 AMB_SEEDS = (0, 1, 2)
 SPLIT_STREAM = 104729  # same split stream tag the CLI uses
@@ -189,7 +188,8 @@ def joint_loss_fixture():
             if p.pos.size and p.neg.size and p.aux_pos.size]
     assert full, "no ambiguous node ended up with non-empty pos/neg/aux pools"
     anchor = full[0]
-    groups = ContrastGroups(pools={anchor: all_groups.pools[anchor]})
+    p = all_groups.pools[anchor]
+    groups = contrast_groups({anchor: (p.pos, p.neg, p.aux_pos)})
     return g, params, groups
 
 

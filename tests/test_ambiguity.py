@@ -5,6 +5,7 @@ so pool membership and loss values can be computed by hand. The randomized
 loss check re-derives every pair term with the scalar softplus.
 """
 
+import os
 import sys
 import threading
 
@@ -14,7 +15,7 @@ import scipy.stats
 
 import disamgnn as d
 from disamgnn import tensor as T
-from oracles import neighbor_pools, similarity, softplus
+from oracles import contrast_groups, neighbor_pools, similarity, softplus
 
 LN2 = np.log(2.0)
 
@@ -329,16 +330,42 @@ def test_aux_sampling_is_uniform_chi_square():
     assert stat < cutoff, f"chi-square {stat:.1f} exceeds {cutoff:.1f}"
 
 
+def per_row_choice(cands, k, rng):
+    """Auxiliary draws as a per-node loop makes them: numpy's choice, one row at a time."""
+    return [np.sort(rng.choice(c, size=k, replace=False)) if c.size > k else c for c in cands]
+
+
+# Candidate counts around numpy's switch from Floyd's rule to a tail shuffle,
+# which takes rows of more than 10,000 candidates when k > count // 50.
+TAIL_EDGE = [10_000, 10_001, 10_049, 10_050]
+
+
+@pytest.mark.parametrize("k", [0, 1, 8, 200, 201, 300])
+def test_batched_aux_draws_equal_per_row_choice(k):
+    gen = np.random.default_rng(1000 + k)
+    for rep in range(12):
+        counts = (2.0 ** gen.uniform(0, 20, size=gen.integers(1, 10))).astype(np.int64)
+        counts[gen.random(counts.size) < 0.2] = 0
+        if k == 201:
+            counts = gen.permutation(np.concatenate((counts, TAIL_EDGE)))
+        cands = [int(gen.integers(0, 50)) + 3 * np.arange(c) for c in counts]
+        ours, ref = np.random.default_rng(rep), np.random.default_rng(rep)
+        picks = d.ambiguity._aux_picks(counts, k, ours)
+        expected = per_row_choice(cands, k, ref)
+        for c, p, want in zip(cands, picks, expected, strict=True):
+            assert c[p].dtype == np.int64 and np.array_equal(c[p], want), (c.size, k)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        if k == 0:
+            assert all(c[p].size == 0 for c, p in zip(cands, picks))
+            assert ours.bit_generator.state == np.random.default_rng(rep).bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # contrast loss
 
 
 def groups_for(v, pos=(), neg=(), aux=()):
-    g = d.ContrastGroups()
-    g.pools[v] = d.NodePools(pos=np.asarray(pos, dtype=np.int64),
-                             neg=np.asarray(neg, dtype=np.int64),
-                             aux_pos=np.asarray(aux, dtype=np.int64))
-    return g
+    return contrast_groups({v: (pos, neg, aux)})
 
 
 def test_loss_orthogonal_pairs_is_two_ln_two():
@@ -360,7 +387,7 @@ def test_loss_aligned_positive_opposed_negative():
 
 def test_loss_empty_groups_is_zero():
     emb = T.Tensor(np.eye(2), requires_grad=True)
-    loss = d.jsd_contrast_loss(emb, d.ContrastGroups())
+    loss = d.jsd_contrast_loss(emb, contrast_groups({}))
     assert loss.item() == 0.0
     assert not loss.requires_grad
 
@@ -380,9 +407,7 @@ def test_loss_pools_positives_with_aux_and_averages():
 def test_loss_sums_over_selected_nodes():
     emb = T.Tensor(np.eye(4))
     single = d.jsd_contrast_loss(emb, groups_for(0, pos=[1], neg=[2]))
-    both = d.ContrastGroups()
-    both.pools[0] = d.NodePools(np.array([1]), np.array([2]), np.empty(0, int))
-    both.pools[3] = d.NodePools(np.array([1]), np.array([2]), np.empty(0, int))
+    both = contrast_groups({0: ([1], [2], []), 3: ([1], [2], [])})
     double = d.jsd_contrast_loss(emb, both)
     assert double.item() == pytest.approx(2 * single.item(), abs=1e-12)
 
@@ -462,9 +487,7 @@ def test_fused_loss_matches_composed_ops():
 
 
 def test_pairs_follow_anchor_then_pool_order():
-    groups = d.ContrastGroups()
-    groups.pools[3] = d.NodePools(np.array([5]), np.array([0, 1]), np.array([7]))
-    groups.pools[1] = d.NodePools(np.empty(0, int), np.array([2]), np.empty(0, int))
+    groups = contrast_groups({3: ([5], [0, 1], [7]), 1: ([], [2], [])})
     plan = groups.pairs()
     assert plan.left.tolist() == [1, 3, 3, 3, 3]
     assert plan.right.tolist() == [2, 5, 7, 0, 1]
@@ -651,8 +674,14 @@ def assert_same_pools(groups, expected):
             assert np.array_equal(got, want) and got.dtype == np.int64, f"pools of node {v}"
 
 
+def two_cpus(monkeypatch):
+    """Lets the refresh overlap its blocks, which it does only where it may use two CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def test_refresh_of_many_blocks_with_a_short_last_block_matches_oracle(monkeypatch):
     monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", 7 * 50)  # 7 rows of 50 nodes
+    two_cpus(monkeypatch)
     cfg = d.DisamConfig(aux_samples=3, aux_similarity_min=0.2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the worker and the draw loop trade the lock as often as they can
@@ -669,8 +698,8 @@ def test_refresh_of_many_blocks_with_a_short_last_block_matches_oracle(monkeypat
         sys.setswitchinterval(interval)
 
 
-class ChoiceFails:
-    def choice(self, *args, **kwargs):
+class DrawFails:
+    def integers(self, *args, **kwargs):
         raise RuntimeError("draw failed")
 
 
@@ -678,13 +707,14 @@ class ChoiceFails:
 def test_refresh_leaves_no_thread_running(monkeypatch, block_elems):
     if block_elems is not None:  # one row per block, so a block is always in flight
         monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", block_elems)
+    two_cpus(monkeypatch)
     g, emb, nodes = correlated_case(4)
     cfg = d.DisamConfig(aux_samples=1, aux_similarity_min=-1.0)  # every node draws
     before = threading.active_count()
     d.build_contrast_groups(emb, g, nodes, cfg, np.random.default_rng(0))
     assert threading.active_count() == before
     with pytest.raises(RuntimeError, match="draw failed"):
-        d.build_contrast_groups(emb, g, nodes, cfg, ChoiceFails())
+        d.build_contrast_groups(emb, g, nodes, cfg, DrawFails())
     assert threading.active_count() == before
 
 
@@ -692,11 +722,31 @@ def test_refresh_leaves_no_thread_running(monkeypatch, block_elems):
 def test_refresh_starts_a_worker_only_for_a_second_block(monkeypatch, block_elems, threads):
     if block_elems is not None:
         monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", block_elems)
+    two_cpus(monkeypatch)
     started, start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
     g, emb, nodes = correlated_case(4)
     d.build_contrast_groups(emb, g, nodes, d.DisamConfig(), np.random.default_rng(0))
     assert len(started) == threads
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_refresh_on_one_cpu_starts_no_worker_and_draws_the_same(monkeypatch, affinity):
+    monkeypatch.setattr(d.ambiguity, "_SCAN_BLOCK_ELEMS", 7 * 50)  # 7 rows of 50 nodes per block
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    else:  # platforms without CPU affinity fall back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    cfg = d.DisamConfig(aux_samples=3, aux_similarity_min=0.2)
+    g, emb, nodes = correlated_case(5)
+    ours_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    groups = d.build_contrast_groups(emb, g, nodes, cfg, ours_rng)
+    assert started == []
+    assert_same_pools(groups, per_node_contrast_groups(emb, g, nodes, cfg, ref_rng))
+    assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_pools_keep_their_values_after_a_second_refresh(monkeypatch):

@@ -1,4 +1,4 @@
-"""CLI artifacts against recorded sha256 digests.
+"""CLI artifacts and contrast-pool refreshes against recorded sha256 digests.
 
 A fixed matrix of ``disamgnn`` commands runs in-process, and every file it
 writes, plus every ``--help`` text, is hashed and compared with
@@ -7,10 +7,16 @@ term off and on, one run with dropout and no weight decay, ``analyze`` on
 the GCN contrast checkpoint, a ``sweep`` with one and with two workers, and
 each parser's help.
 
-Floating-point results can move with the numeric libraries, so the JSON
-records the Python, numpy and scipy versions it was made with, and the test
-skips, naming each mismatch, on any other versions. After a change that is
-meant to alter the artifacts, regenerate the file with
+``refresh_digests.json`` pins ``build_contrast_groups`` on the ``ambiguity``
+preset: a GCN trains 10 epochs at lr 0.03, and its embeddings are pooled for
+every node, every third node and a shuffled half. Each digest covers the
+pools in dict order, the eight arrays of the compiled ``PairPlan`` and the
+state the draws leave the generator in.
+
+Floating-point results can move with the numeric libraries, so each JSON
+records the Python, numpy and scipy versions it was made with, and the tests
+skip, naming each mismatch, on any other versions. After a change that is
+meant to alter the artifacts or the pools, regenerate both files with
 
     PYTHONPATH=src python tests/test_artifact_digests.py --write
 """
@@ -27,10 +33,13 @@ import numpy as np
 import pytest
 import scipy
 
+import disamgnn as d
 from disamgnn import cli
 from disamgnn.models import BACKBONES
 
-DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "artifact_digests.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+DIGESTS = os.path.join(HERE, "artifact_digests.json")
+REFRESH_DIGESTS = os.path.join(HERE, "refresh_digests.json")
 TRAIN = ("--dataset", "sbm:ambiguity", "--epochs", "30", "--warmup", "10", "--refresh", "10")
 SWEEP = ("sweep", "--dataset", "sbm:ambiguity", "--param", "lambda", "--values", "0,1",
          "--seeds", "0,1", "--epochs", "20", "--warmup", "5", "--refresh", "5")
@@ -83,18 +92,55 @@ def artifact_digests(root: str) -> dict:
     return dict(sorted(digests.items()))
 
 
-def test_cli_artifacts_match_their_recorded_digests(tmp_path, monkeypatch):
-    with open(DIGESTS) as fh:
+def recorded_digests(path: str) -> dict:
+    """The digests recorded in ``path``; skips when they were made with other versions."""
+    with open(path) as fh:
         recorded = json.load(fh)
     mismatched = [f"{key} {want} here {versions()[key]}"
                   for key, want in recorded["versions"].items() if versions()[key] != want]
     if mismatched:
         pytest.skip("digests were recorded with other versions: " + ", ".join(mismatched))
+    return recorded["digests"]
+
+
+def refresh_digests() -> dict:
+    """sha256 of the pools, pairs and generator state of three preset refreshes."""
+    g = d.sbm_generate(d.get_preset("ambiguity"))
+    masks = d.make_split(g, np.random.default_rng(0))
+    params, _, _ = d.train(d.TrainConfig(lr=0.03, max_epochs=10, seed=0), g, masks)
+    emb = d.forward(params, g).embeddings.values
+    n = g.num_nodes
+    selections = {"all": np.arange(n), "every-third": np.arange(0, n, 3),
+                  "shuffled-half": np.random.default_rng(1).permutation(n)[: n // 2]}
+    digests = {}
+    for name, nodes in selections.items():
+        rng = np.random.default_rng(0)
+        groups = d.build_contrast_groups(emb, g, nodes, d.DisamConfig(), rng)
+        assert any(p.aux_pos.size == d.DisamConfig().aux_samples for p in groups.pools.values())
+        h = hashlib.sha256()
+        for v, p in groups.pools.items():
+            h.update(np.int64(v).tobytes())
+            for a in (p.pos, p.neg, p.aux_pos):
+                h.update(f"{a.dtype}{a.size};".encode() + a.tobytes())
+        plan = groups.pairs()
+        for a in (plan.left, plan.right, plan.signs, plan.weights,
+                  plan._inv, plan._lo, plan._hi, plan._offsets):
+            h.update(f"{a.dtype}{a.size};".encode() + a.tobytes())
+        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+        digests[f"preset refresh {name}"] = h.hexdigest()
+    return digests
+
+
+def test_cli_artifacts_match_their_recorded_digests(tmp_path, monkeypatch):
+    want = recorded_digests(DIGESTS)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     got = artifact_digests(str(tmp_path))
-    want = recorded["digests"]
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
+
+
+def test_preset_refreshes_match_their_recorded_digests():
+    assert refresh_digests() == recorded_digests(REFRESH_DIGESTS)
 
 
 if __name__ == "__main__":
@@ -104,8 +150,9 @@ if __name__ == "__main__":
 
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as root:
-        blob = {"versions": versions(), "digests": artifact_digests(root)}
-    with open(DIGESTS, "w") as fh:
-        json.dump(blob, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(blob['digests'])} digests to {DIGESTS}")
+        files = {DIGESTS: artifact_digests(root), REFRESH_DIGESTS: refresh_digests()}
+    for path, digests in files.items():
+        with open(path, "w") as fh:
+            json.dump({"versions": versions(), "digests": digests}, fh, indent=1)
+            fh.write("\n")
+        print(f"wrote {len(digests)} digests to {path}")

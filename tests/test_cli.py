@@ -360,13 +360,15 @@ WEIGHT0 = "{'name': 'layer0.weight', 'shape': [3, 8], 'offset': 0}"  # the fixtu
      f"entry 0 is {{'name': 'layer0.weight', 'shape': [3.0, 8], 'offset': 0}}, the gcn layout expects {WEIGHT0}"),
     (lambda m: m.update(sgc_k=-5), "sgc_k must be None or >= 0"),
     (lambda m: m.update(dtype="<f4"), "unsupported checkpoint dtype '<f4'"),
-    # Glorot bounds over fans that sum to 0 or less: no division by zero, no NaN range
-    (lambda m: m.update(in_dim=0, hidden_dim=0),
-     f"entry 0 is {WEIGHT0}, the gcn layout expects {{'name': 'layer0.weight', 'shape': [0, 0], 'offset': 0}}"),
-    (lambda m: m.update(in_dim=-3, hidden_dim=1), "negative dimensions are not allowed"),
+    # layers of no width: rejected before any Glorot bound is taken over their fans
+    (lambda m: m.update(in_dim=0, hidden_dim=0), "in_dim must be >= 1, got 0"),
+    (lambda m: m.update(in_dim=-3, hidden_dim=1), "in_dim must be >= 1, got -3"),
+    # SGC has no hidden layer, so its layout alone would not catch this
+    (lambda m: m.update(backbone="sgc", hidden_dim=-5), "hidden_dim must be >= 1, got -5"),
+    (lambda m: m.update(num_classes=0), "num_classes must be >= 1, got 0"),
 ], ids=["renamed-entry", "no-entries", "transposed-shape", "string-hidden-dim", "bool-hidden-dim",
         "int-backbone", "version-99", "bool-offset", "float-offset", "float-shape", "negative-sgc-k",
-        "f4-dtype", "empty-layer", "negative-layer"])
+        "f4-dtype", "empty-layer", "negative-layer", "sgc-negative-hidden-dim", "no-classes"])
 def test_analyze_rejects_a_checkpoint_off_its_layout(trained, bundle, tmp_path, capsys, edit, reason):
     base = tmp_path / "checkpoint"
     edited_checkpoint(trained, base, edit)

@@ -423,8 +423,8 @@ def test_checkpoint_corrupt_manifest_rejected(tmp_path):
         d.load_checkpoint(base)
 
 
-@pytest.mark.parametrize("text", ['{"format": "disamgnn-checkpoint",', "[1]"],
-                         ids=["not-json", "a-list"])
+@pytest.mark.parametrize("text", ['{"format": "disamgnn-checkpoint",', "[1]", "[" * 5000 + "]" * 5000],
+                         ids=["not-json", "a-list", "nested-too-deeply"])
 def test_checkpoint_readers_name_a_manifest_they_cannot_parse(tmp_path, text):
     base = str(tmp_path / "ckpt")
     d.save_checkpoint(random_params(), base)

@@ -582,6 +582,16 @@ def test_forward_validation_errors():
         d.init_model("sgc", 3, 2, sgc_k=-1, rng=np.random.default_rng(0))
 
 
+
+@pytest.mark.parametrize("backbone", d.BACKBONES)
+@pytest.mark.parametrize("dim", ["in_dim", "hidden_dim", "num_classes"])
+def test_init_model_rejects_a_width_below_one(backbone, dim):
+    for bad in (0, -5):
+        sizes = {"in_dim": 3, "hidden_dim": 4, "num_classes": 2, dim: bad}
+        with pytest.raises(ValueError, match=f"^{dim} must be >= 1, got {bad}$"):
+            d.init_model(backbone, sizes["in_dim"], sizes["num_classes"], hidden_dim=sizes["hidden_dim"],
+                         rng=np.random.default_rng(0))
+
 def test_class_probs_equal_reduction_max_formula():
     # numpy's row-max reduction is the reference: on each backbone's logits,
     # and on the special values that no forward here produces, through the

@@ -120,9 +120,9 @@ def test_contrast_pairs_compile_once_per_refresh(monkeypatch):
     compile_pairs = ambiguity._compile_pairs
     compiles = []
 
-    def counting(pools):
-        compiles.append(len(pools))
-        return compile_pairs(pools)
+    def counting(groups):
+        compiles.append(len(groups))
+        return compile_pairs(groups)
 
     monkeypatch.setattr(ambiguity, "_compile_pairs", counting)
     cfg = d.TrainConfig(max_epochs=30, patience=30, seed=2,
