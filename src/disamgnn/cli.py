@@ -61,6 +61,28 @@ _GROUPS = (
 )
 
 
+_FLOAT_FLAGS = {f"--{flag}" for _, defaults, flags in _GROUPS for flag, attr in flags.items()
+                if isinstance(getattr(defaults, attr), float)}
+
+
+def _glue_negative_floats(argv: list[str]) -> list[str]:
+    """``argv`` with ``--flag -1e-3`` written ``--flag=-1e-3`` for each float flag.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like -1 or -0.5, so -1e-3, -inf and -nan would end in "expected one argument"
+    instead of reaching the config's validation.
+    """
+    out = list(argv)
+    for i in range(len(out) - 1, 0, -1):
+        if out[i - 1] in _FLOAT_FLAGS and out[i].startswith("-"):
+            try:
+                float(out[i])
+            except ValueError:
+                continue
+            out[i - 1 : i + 1] = [f"{out[i - 1]}={out[i]}"]
+    return out
+
+
 def _hyper_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     for title, defaults, flags in _GROUPS:
@@ -326,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_floats(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (TrainingDiverged, FileNotFoundError, ValueError, OSError, MemoryError) as exc:

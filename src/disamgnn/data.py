@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph import Graph, SplitMasks, build_graph
+from .graph import Graph, SplitMasks, _integers, build_graph
 from .models import ModelParams, init_model
 from .train import EpochRecord
 
@@ -396,23 +396,55 @@ def block_probability_matrix(spec: SbmSpec) -> np.ndarray:
     elif intra.shape != (c,):
         raise ValueError(f"intra_p must be scalar or length-{c} per-class values")
     np.fill_diagonal(probs, intra)
+    for name, values in (("intra_p", intra), ("inter_p", probs[~np.eye(c, dtype=bool)])):
+        if not ((values >= 0) & (values <= 1)).all():  # NaN fails both comparisons
+            raise ValueError(f"{name} edge probabilities must lie in [0, 1]")
     if not np.allclose(probs, probs.T):
         raise ValueError("inter_p matrix must be symmetric")
-    if probs.min() < 0 or probs.max() > 1:
-        raise ValueError("edge probabilities must lie in [0, 1]")
     return probs
 
 
+_SBM_DRAW_CHUNK = 1 << 20  # uniforms per rng.random call: bounds the draw buffer at 8 MiB
+
+
+def _bernoulli_hits(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
+    """Positions, ascending, of the draws below ``p`` among ``rng.random(count)``.
+
+    The draws come in pieces of ``_SBM_DRAW_CHUNK``; for float64 these give
+    the same values and leave the same generator state as one call.
+    """
+    hits = [
+        lo + np.flatnonzero(rng.random(min(_SBM_DRAW_CHUNK, count - lo)) < p)
+        for lo in range(0, count, _SBM_DRAW_CHUNK)
+    ]
+    return np.concatenate(hits) if hits else np.empty(0, np.int64)
+
+
 def sbm_generate(spec: SbmSpec) -> Graph:
-    """Sample a graph: Bernoulli block edges, Gaussian features per class."""
+    """Sample a graph: Bernoulli block edges, Gaussian features per class.
+
+    Blocks are visited in order (a, b), a <= b. Block (a, b) draws one
+    uniform per node pair, row-major over the (a, b) rectangle or, for a == b,
+    over the strict upper triangle, and a pair is an edge when its draw falls
+    below the block's probability; the features' standard normals follow the
+    last block. These are the draws of one ``rng.random`` call per block, made
+    in pieces of ``_SBM_DRAW_CHUNK``, and every block draws, also at p = 0 or
+    p = 1, so a seed fixes the graph. Cost: O(n^2) draws in time, O(edges +
+    chunk) memory; hit positions become endpoints by arithmetic.
+    """
+    for size in np.asarray(spec.class_sizes, dtype=object).ravel():  # one by one: (True, 5) makes an int array
+        _integers(size, "class_sizes", "block sizes")
     sizes = np.asarray(spec.class_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.size < 2 or (sizes <= 0).any():
         raise ValueError("class_sizes must list >= 2 positive block sizes")
     means = np.asarray(spec.class_means, dtype=np.float64)
-    if means.shape[0] != sizes.size:
-        raise ValueError("class_means must have one row per class")
+    if means.ndim != 2 or means.shape[0] != sizes.size:
+        raise ValueError(f"class_means must be 2-D with one row per class ({sizes.size}), got shape {means.shape}")
+    seed = spec.seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     probs = block_probability_matrix(spec)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     starts = np.concatenate([[0], np.cumsum(sizes)])
     n = int(starts[-1])
     labels = np.repeat(np.arange(sizes.size), sizes)
@@ -420,21 +452,17 @@ def sbm_generate(spec: SbmSpec) -> Graph:
     edge_chunks = []
     for a in range(sizes.size):
         for b in range(a, sizes.size):
-            p = probs[a, b]
+            sa, sb = int(sizes[a]), int(sizes[b])
             if a == b:
-                iu, ju = np.triu_indices(sizes[a], k=1)
-                hit = rng.random(iu.size) < p
-                if hit.any():
-                    edge_chunks.append(
-                        np.stack([starts[a] + iu[hit], starts[a] + ju[hit]], axis=1)
-                    )
+                rows = np.arange(sa)
+                row_starts = rows * (2 * sa - rows - 1) // 2  # row i's first pair in the triangle
+                pos = _bernoulli_hits(rng, sa * (sa - 1) // 2, probs[a, a])
+                i = np.searchsorted(row_starts, pos, side="right") - 1
+                j = pos - row_starts[i] + i + 1
             else:
-                hits = rng.random((sizes[a], sizes[b])) < p
-                ia, ib = np.nonzero(hits)
-                if ia.size:
-                    edge_chunks.append(
-                        np.stack([starts[a] + ia, starts[b] + ib], axis=1)
-                    )
+                i, j = np.divmod(_bernoulli_hits(rng, sa * sb, probs[a, b]), sb)
+            if i.size:
+                edge_chunks.append(np.stack([starts[a] + i, starts[b] + j], axis=1))
     edges = np.concatenate(edge_chunks) if edge_chunks else np.empty((0, 2), np.int64)
     features = means[labels] + spec.noise_scale * rng.standard_normal(
         (n, means.shape[1])

@@ -10,13 +10,18 @@ which keeps every parameter in one flat buffer, must reproduce their bits.
 ``gcn_normalized_adjacency`` builds Â through two sparse products: the
 package writes it straight onto the graph's CSR arrays, with the same bytes.
 ``contrast_groups`` packs pools written per node into the package's flat
-``ContrastGroups`` layout.
+``ContrastGroups`` layout. ``sbm_generate`` draws each block's uniforms in
+one ``rng.random`` call, over ``np.triu_indices`` or a dense 2-D mask: the
+package, which draws in pieces and computes the endpoints, must reproduce
+its graphs bit for bit.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from disamgnn.ambiguity import ContrastGroups
+from disamgnn.data import block_probability_matrix
+from disamgnn.graph import build_graph
 from disamgnn.optim import BETA1, BETA2, EPS
 from disamgnn.tensor import Tensor, _result
 
@@ -156,3 +161,42 @@ def contrast_groups(pools: dict) -> ContrastGroups:
     flat = [np.concatenate([r[i] for r in rows] + [np.empty(0, np.int64)]) for i in range(3)]
     sizes = np.array([[a.size for a in r] for r in rows], dtype=np.int64).reshape(-1, 3)
     return ContrastGroups(np.fromiter(pools, np.int64, len(pools)), sizes, *flat)
+
+
+def sbm_generate(spec):
+    """Sample a graph: Bernoulli block edges, Gaussian features per class."""
+    sizes = np.asarray(spec.class_sizes, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size < 2 or (sizes <= 0).any():
+        raise ValueError("class_sizes must list >= 2 positive block sizes")
+    means = np.asarray(spec.class_means, dtype=np.float64)
+    if means.shape[0] != sizes.size:
+        raise ValueError("class_means must have one row per class")
+    probs = block_probability_matrix(spec)
+    rng = np.random.default_rng(spec.seed)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(starts[-1])
+    labels = np.repeat(np.arange(sizes.size), sizes)
+
+    edge_chunks = []
+    for a in range(sizes.size):
+        for b in range(a, sizes.size):
+            p = probs[a, b]
+            if a == b:
+                iu, ju = np.triu_indices(sizes[a], k=1)
+                hit = rng.random(iu.size) < p
+                if hit.any():
+                    edge_chunks.append(
+                        np.stack([starts[a] + iu[hit], starts[a] + ju[hit]], axis=1)
+                    )
+            else:
+                hits = rng.random((sizes[a], sizes[b])) < p
+                ia, ib = np.nonzero(hits)
+                if ia.size:
+                    edge_chunks.append(
+                        np.stack([starts[a] + ia, starts[b] + ib], axis=1)
+                    )
+    edges = np.concatenate(edge_chunks) if edge_chunks else np.empty((0, 2), np.int64)
+    features = means[labels] + spec.noise_scale * rng.standard_normal(
+        (n, means.shape[1])
+    )
+    return build_graph(edges, features, labels, num_classes=sizes.size)

@@ -13,10 +13,13 @@ every node, every third node and a shuffled half. Each digest covers the
 pools in dict order, the eight arrays of the compiled ``PairPlan`` and the
 state the draws leave the generator in.
 
+``graph_digests.json`` pins ``sbm_generate``: the arrays of both presets'
+graphs and of one 3-block spec with blocks at probability 0 and 1.
+
 Floating-point results can move with the numeric libraries, so each JSON
 records the Python, numpy and scipy versions it was made with, and the tests
 skip, naming each mismatch, on any other versions. After a change that is
-meant to alter the artifacts or the pools, regenerate both files with
+meant to alter the artifacts, the pools or the graphs, regenerate the files with
 
     PYTHONPATH=src python tests/test_artifact_digests.py --write
 """
@@ -40,6 +43,7 @@ from disamgnn.models import BACKBONES
 HERE = os.path.dirname(os.path.abspath(__file__))
 DIGESTS = os.path.join(HERE, "artifact_digests.json")
 REFRESH_DIGESTS = os.path.join(HERE, "refresh_digests.json")
+GRAPH_DIGESTS = os.path.join(HERE, "graph_digests.json")
 TRAIN = ("--dataset", "sbm:ambiguity", "--epochs", "30", "--warmup", "10", "--refresh", "10")
 SWEEP = ("sweep", "--dataset", "sbm:ambiguity", "--param", "lambda", "--values", "0,1",
          "--seeds", "0,1", "--epochs", "20", "--warmup", "5", "--refresh", "5")
@@ -131,6 +135,27 @@ def refresh_digests() -> dict:
     return digests
 
 
+def graph_digests() -> dict:
+    """sha256 of the CSR arrays, features and labels of three generated graphs."""
+    specs = {
+        "ambiguity preset": d.get_preset("ambiguity"),
+        "separated preset": d.get_preset("separated"),
+        "3-block spec": d.SbmSpec(
+            class_sizes=(45, 30, 12), intra_p=(0.2, 1.0, 0.5),
+            inter_p=np.array([[0.0, 0.05, 0.0], [0.05, 0.0, 0.3], [0.0, 0.3, 0.0]]),
+            class_means=np.arange(12.0).reshape(3, 4), noise_scale=0.7, seed=9,
+        ),
+    }
+    digests = {}
+    for name, spec in specs.items():
+        g = d.sbm_generate(spec)
+        h = hashlib.sha256(f"{g.num_nodes};{g.num_classes};".encode())
+        for a in (g.csr_offsets, g.csr_targets, g.features, g.labels):
+            h.update(f"{a.dtype}{a.shape};".encode() + a.tobytes())
+        digests[name] = h.hexdigest()
+    return digests
+
+
 def test_cli_artifacts_match_their_recorded_digests(tmp_path, monkeypatch):
     want = recorded_digests(DIGESTS)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
@@ -143,6 +168,10 @@ def test_preset_refreshes_match_their_recorded_digests():
     assert refresh_digests() == recorded_digests(REFRESH_DIGESTS)
 
 
+def test_generated_graphs_match_their_recorded_digests():
+    assert graph_digests() == recorded_digests(GRAPH_DIGESTS)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --write")
@@ -150,7 +179,8 @@ if __name__ == "__main__":
 
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as root:
-        files = {DIGESTS: artifact_digests(root), REFRESH_DIGESTS: refresh_digests()}
+        files = {DIGESTS: artifact_digests(root), REFRESH_DIGESTS: refresh_digests(),
+                 GRAPH_DIGESTS: graph_digests()}
     for path, digests in files.items():
         with open(path, "w") as fh:
             json.dump({"versions": versions(), "digests": digests}, fh, indent=1)

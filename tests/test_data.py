@@ -2,15 +2,19 @@
 
 The SBM homophily check derives the expected value analytically from the
 binomial degree distributions and compares a 20-seed Monte-Carlo estimate
-against it.
+against it. The chunked SBM generator must equal ``oracles.sbm_generate``,
+which draws each block in one call, bit for bit.
 """
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disamgnn as d
 import oracles
@@ -309,6 +313,67 @@ def test_sbm_spec_validation():
         d.sbm_generate(d.SbmSpec((5, 0), 0.1, 0.1, np.eye(2), seed=0))
     with pytest.raises(ValueError):
         d.sbm_generate(d.SbmSpec((5, 5), 0.1, 0.1, np.eye(3), seed=0))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"class_sizes": (5.7, 5)}, "class_sizes must hold integer block sizes, got dtype float64"),
+    ({"class_sizes": (True, 5)}, "class_sizes must hold integer block sizes, got dtype bool"),
+    ({"intra_p": float("nan")}, r"intra_p edge probabilities must lie in \[0, 1\]"),
+    ({"inter_p": np.array([[0.0, np.nan], [np.nan, 0.0]])}, r"inter_p edge probabilities must lie in \[0, 1\]"),
+    ({"class_means": np.ones(2)}, r"class_means must be 2-D with one row per class \(2\), got shape \(2,\)"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+], ids=["float-size", "bool-size", "nan-intra", "nan-inter", "1d-means", "float-seed", "negative-seed"])
+def test_sbm_rejects_a_bad_field_by_name(change, message):
+    fields = {"class_sizes": (5, 5), "intra_p": 0.5, "inter_p": 0.1, "class_means": np.eye(2), "seed": 0}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        d.sbm_generate(d.SbmSpec(**{**fields, **change}))
+
+
+PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def sbm_specs(draw):
+    c = draw(st.integers(2, 4))
+    inter = np.zeros((c, c))
+    for a in range(c):
+        for b in range(a + 1, c):
+            inter[a, b] = inter[b, a] = draw(PROBS)
+    return d.SbmSpec(
+        class_sizes=tuple(draw(st.lists(st.integers(1, 30), min_size=c, max_size=c))),
+        intra_p=tuple(draw(st.lists(PROBS, min_size=c, max_size=c))),
+        inter_p=inter,
+        class_means=np.arange(2.0 * c).reshape(c, 2),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=100, deadline=2000, database=None, derandomize=True)
+@given(spec=sbm_specs(), chunk=st.sampled_from([1, 7, 64]))
+def test_sbm_generate_equals_the_one_call_oracle(spec, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_SBM_DRAW_CHUNK", chunk)
+        got = d.sbm_generate(spec)
+    want = oracles.sbm_generate(spec)
+    for name in ("csr_offsets", "csr_targets", "features", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.num_classes == want.num_classes
+
+
+def test_sbm_generate_memory_is_bounded_by_the_draw_chunk():
+    # 2x2,000 nodes draw 8M uniforms; in 1M-draw chunks the traced peak stays
+    # near 10 MB, while one 2,000x2,000 block held whole peaks near 71 MB.
+    spec = d.SbmSpec(class_sizes=(2000, 2000), intra_p=0.005, inter_p=0.001,
+                     class_means=np.eye(2), seed=4)
+    tracemalloc.start()
+    try:
+        d.sbm_generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def expected_graph_homophily(sizes, intra, inter):
