@@ -271,6 +271,11 @@ def _aux_picks(counts: np.ndarray, k: int, rng: np.random.Generator) -> list:
     return picks
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity, else ``os.cpu_count()`` where none is reported."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def build_contrast_groups(
     embeddings, g: Graph, nodes, cfg: DisamConfig, rng: np.random.Generator
 ) -> ContrastGroups:
@@ -339,8 +344,7 @@ def build_contrast_groups(
     # none. The calling thread polls for the next block instead of sleeping on
     # it: on a 2-CPU host, refreshes whose waits slept left later work in the
     # process (bundle loading, epochs) measurably slower.
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
-    ahead, overlap = None, (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
+    ahead, overlap = None, _usable_cpus() > 1
     with ThreadPoolExecutor(max_workers=1) as worker:
         for k in range(len(starts)):
             while ahead is not None and not ahead.done():

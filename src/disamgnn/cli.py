@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as dataio
 from .graph import Graph, SplitMasks, _node_rows
-from .ambiguity import DisamConfig
+from .ambiguity import DisamConfig, _usable_cpus
 from .metrics import metrics_report
 from .models import BACKBONES, forward
 from .regions import group_report, strategy1_groups, strategy2_groups
@@ -30,16 +30,22 @@ __all__ = ["main", "build_parser"]
 _SPLIT_STREAM = 104729  # distinct rng stream tag for split sampling
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _comma_list(text: str, cast, name: str, item: str, error=ValueError) -> list:
+    """``text``'s non-blank comma-separated tokens through ``cast``; ``error`` names the list
+    ``name`` when a token fails, none is left or an ``item`` repeats."""
     try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from exc
-    if not seeds:
-        raise argparse.ArgumentTypeError("seed list is empty")
-    if len(set(seeds)) != len(seeds):
-        raise argparse.ArgumentTypeError(f"seed list {text!r} repeats a seed")
-    return seeds
+        raise error(f"bad {name} {text!r}") from exc
+    if not values:
+        raise error(f"{name} is empty")
+    if len(set(values)) != len(values):
+        raise error(f"{name} {text!r} repeats a {item}")
+    return values
+
+
+def _parse_seeds(text: str) -> list[int]:
+    return _comma_list(text, int, "seed list", "seed", argparse.ArgumentTypeError)
 
 
 # Hyperparameter flags per argument group, in --help order: flag -> the field
@@ -61,25 +67,19 @@ _GROUPS = (
 )
 
 
-_FLOAT_FLAGS = {f"--{flag}" for _, defaults, flags in _GROUPS for flag, attr in flags.items()
-                if isinstance(getattr(defaults, attr), float)}
-
-
-def _glue_negative_floats(argv: list[str]) -> list[str]:
-    """``argv`` with ``--flag -1e-3`` written ``--flag=-1e-3`` for each float flag.
+def _glue_option_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--option -x`` written ``--option=-x``: every option but --help takes a value.
 
     argparse reads a token that starts with '-' as an option unless it looks
-    like -1 or -0.5, so -1e-3, -inf and -nan would end in "expected one argument"
-    instead of reaching the config's validation.
+    like -1 or -0.5, so -1e-3 or -1,2 would end in "expected one argument"
+    instead of reaching validation. Only -h and tokens that start with '--' stay apart.
     """
     out = list(argv)
     for i in range(len(out) - 1, 0, -1):
-        if out[i - 1] in _FLOAT_FLAGS and out[i].startswith("-"):
-            try:
-                float(out[i])
-            except ValueError:
-                continue
-            out[i - 1 : i + 1] = [f"{out[i - 1]}={out[i]}"]
+        opt, value = out[i - 1], out[i]
+        if (opt.startswith("--") and "=" not in opt and opt not in ("--", "--help")
+                and value.startswith("-") and value != "-h" and not value.startswith("--")):
+            out[i - 1 : i + 1] = [f"{opt}={value}"]
     return out
 
 
@@ -239,7 +239,7 @@ def _sweep_job(cfg: TrainConfig, g: Graph, bundle_masks: SplitMasks | None) -> d
 
 def _sweep_workers(jobs: int, cells: int) -> int:
     """Worker processes for ``--jobs``: at most one per cell and per CPU."""
-    return min(jobs, cells, os.cpu_count() or 1)
+    return min(jobs, cells, _usable_cpus())
 
 
 def cmd_sweep(args) -> int:
@@ -251,14 +251,7 @@ def cmd_sweep(args) -> int:
         )
     attr = _SWEEPABLE[args.param]
     cast = type(getattr(args, attr))  # the field's type, as the flag parsed it
-    try:
-        values = [cast(tok) for tok in args.values.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"bad --values list {args.values!r}") from exc
-    if not values:
-        raise ValueError("--values list is empty")
-    if len(set(values)) != len(values):
-        raise ValueError(f"--values list {args.values!r} repeats a value")
+    values = _comma_list(args.values, cast, "--values list", "value")
 
     cells = [
         (value, _config_from_args(args, seed, **{attr: value}))
@@ -348,9 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_negative_floats(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_glue_option_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a diverging run reports itself in one error line
+            return args.func(args)
     except (TrainingDiverged, FileNotFoundError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -432,9 +432,7 @@ def sbm_generate(spec: SbmSpec) -> Graph:
     p = 1, so a seed fixes the graph. Cost: O(n^2) draws in time, O(edges +
     chunk) memory; hit positions become endpoints by arithmetic.
     """
-    for size in np.asarray(spec.class_sizes, dtype=object).ravel():  # one by one: (True, 5) makes an int array
-        _integers(size, "class_sizes", "block sizes")
-    sizes = np.asarray(spec.class_sizes, dtype=np.int64)
+    sizes = _integers(spec.class_sizes, "class_sizes", "block sizes")
     if sizes.ndim != 1 or sizes.size < 2 or (sizes <= 0).any():
         raise ValueError("class_sizes must list >= 2 positive block sizes")
     means = np.asarray(spec.class_means, dtype=np.float64)
@@ -653,14 +651,15 @@ def write_ambiguity_csv(state, path: str) -> None:
     write_csv(path, ["node_id", "score", "is_ambiguous"], rows)
 
 
-_AMBIGUITY_ROW = np.dtype([("node_id", np.int64), ("score", np.float64), ("is_ambiguous", bool)])
+_AMBIGUITY_ROW = np.dtype([("node_id", np.int64), ("score", np.float64), ("is_ambiguous", np.int64)])
 
 
 def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Return (scores, is_ambiguous) arrays indexed by node id.
 
-    The rows must hold each node id 0..n-1 exactly once, in any order.
-    Columns may come in any order, next to other columns.
+    The rows must hold each node id 0..n-1 exactly once, in any order, each
+    with a score in [0, 1] and an is_ambiguous flag of 0 or 1. Columns may
+    come in any order, next to other columns.
     """
     with _utf8_errors(path), open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -677,19 +676,24 @@ def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             reader = csv.DictReader(fh)
             for row in reader:
                 try:
-                    rows.append((
-                        _int64(row["node_id"]), float(row["score"]), bool(int(row["is_ambiguous"]))
-                    ))
+                    node, score, flag = _int64(row["node_id"]), float(row["score"]), int(row["is_ambiguous"])
+                    if not (0.0 <= score <= 1.0 and flag in (0, 1)):
+                        raise ValueError
                 except (TypeError, ValueError):
                     raise ValueError(  # line_num counts the blank lines DictReader skips
-                        f"{path}:{reader.line_num}: expected an integer node_id, a score and a 0/1 flag"
+                        f"{path}:{reader.line_num}: expected an integer node_id, a score in [0, 1] "
+                        f"and a 0/1 flag"
                     ) from None
+                rows.append((node, score, flag))
         return np.array(rows, dtype=_AMBIGUITY_ROW)
 
     table = _parse_table(
         path, loop, _FLOAT_BYTES, row_shape=(), skiprows=header_lines, dtype=_AMBIGUITY_ROW,
         delimiter=",", usecols=[column[name] for name in _AMBIGUITY_ROW.names],
     )
+    score, flag = table["score"], table["is_ambiguous"]
+    if not ((score >= 0) & (score <= 1) & ((flag == 0) | (flag == 1))).all():
+        loop()  # np.loadtxt read a value the loop refuses; the loop names its line
     ids = table["node_id"]
     order = np.sort(ids)
     if ids.size and order[0] < 0:
@@ -702,8 +706,8 @@ def read_ambiguity_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: no row for node_id {gap[0]}, below the largest id {order[-1]}")
     scores = np.empty(ids.size)
     flags = np.empty(ids.size, dtype=bool)
-    scores[ids] = table["score"]
-    flags[ids] = table["is_ambiguous"]
+    scores[ids] = score
+    flags[ids] = flag
     return scores, flags
 
 

@@ -40,10 +40,13 @@ def _sorted_unique(arr: np.ndarray) -> np.ndarray:
 
 
 def _integers(values, what: str, kind: str) -> np.ndarray:
-    """``values`` as an int64 array of any shape; bool or float entries fail, empty input passes."""
+    """``values`` as an int64 array of any shape; bool or float entries fail, empty input passes.
+    An ndarray is judged by its dtype; other input also entry by entry, as ``[True, 0]`` makes ints."""
     arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must hold integer {kind}, got dtype {arr.dtype}")
+    bool_entry = not isinstance(values, np.ndarray) and arr.dtype.kind in "iu" and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
+    if arr.size and (bool_entry or arr.dtype.kind not in "iu"):
+        raise ValueError(f"{what} must hold integer {kind}, got dtype {'bool' if bool_entry else arr.dtype}")
     return arr.astype(np.int64, copy=False)
 
 

@@ -98,7 +98,7 @@ class TrainHistory:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss or the class probabilities stop being finite."""
+    """Raised when the training loss, the class probabilities or Adam's moments stop being finite."""
 
 
 def train(
@@ -175,6 +175,10 @@ def train(
         params.zero_grads()
         backward(total)
         adam_step(opt, params.flat, params.grad)
+        if not np.isfinite(opt.v).all():  # a non-finite gradient or first moment makes one here too
+            raise TrainingDiverged(
+                f"non-finite Adam moments at epoch {epoch}, lr={cfg.lr}, weight_decay={cfg.weight_decay}"
+            )
 
         records.append(
             EpochRecord(

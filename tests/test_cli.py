@@ -5,7 +5,9 @@ fast; artifact layout, reproducibility, exit codes, and the analyze/sweep
 outputs are all exercised through the public argv surface.
 """
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -15,6 +17,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disamgnn as d
 from disamgnn import cli
@@ -584,7 +588,7 @@ def test_analyze_numbers_ambiguity_lines_past_a_blank_line(trained, bundle, tmp_
                    "--ambiguity", str(bad), "--out", str(tmp_path / "r")])
     assert rc == 1
     assert single_error_line(capsys) == (
-        f"error: {bad}:4: expected an integer node_id, a score and a 0/1 flag")
+        f"error: {bad}:4: expected an integer node_id, a score in [0, 1] and a 0/1 flag")
 
 
 BEYOND_INT64 = "99999999999999999999"
@@ -691,6 +695,59 @@ def test_sweep_parallel_jobs_match_serial(bundle, tmp_path):
     assert read_bytes(str(serial)) == read_bytes(str(parallel))
 
 
+# valid values for a few sweepable flags, floats written as repr so they round-trip
+SWEEP_CELLS = {
+    "lambda": st.floats(0, 4), "lr": st.floats(1e-3, 0.1), "dropout": st.floats(0, 0.9),
+    "threshold": st.floats(0.05, 1), "tau": st.floats(-1, 1),
+    "hidden": st.integers(1, 12), "refresh": st.integers(1, 3), "k-aux": st.integers(0, 4),
+}
+
+
+@st.composite
+def sweep_cells(draw):
+    param = draw(st.sampled_from(sorted(SWEEP_CELLS)))
+    values = draw(st.lists(SWEEP_CELLS[param], min_size=1, max_size=3, unique=True))
+    seeds = draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True))
+    return ["--param", param, "--values", ",".join(map(repr, values)),
+            "--seeds", ",".join(map(str, seeds))]
+
+
+def test_sweep_jobs_never_change_the_csv(bundle, tmp_path):
+    # a small bundle, few epochs and few examples: each example forks two workers
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    @given(sweep_cells())
+    def check(cells):
+        flags = ("--hidden", "6", "--epochs", "6", "--warmup", "1", "--threshold", "0.5", "--lambda", "1",
+                 *cells)
+        csvs = [tmp_path / f"jobs{jobs}.csv" for jobs in ("1", "2")]
+        for out, jobs in zip(csvs, ("1", "2")):
+            out.unlink(missing_ok=True)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["sweep", "--dataset", bundle, "--out", str(out), *flags, "--jobs", jobs]) == 0
+        assert read_bytes(str(csvs[0])) == read_bytes(str(csvs[1])), cells
+
+    check()
+
+
+def run_cli(*argv):
+    """``python -m disamgnn.cli argv`` in its own interpreter: (exit code, stderr lines)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(d.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "disamgnn.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("flags, line", [
+    (("--lr", "1e308"), "error: non-finite class probabilities at epoch 1, lr=1e+308"),
+    # Adam's second moments overflow, after which every step would be 0
+    (("--weight-decay", "1e308"), "error: non-finite Adam moments at epoch 0, lr=0.001, weight_decay=1e+308"),
+], ids=["lr", "weight-decay"])
+def test_a_diverging_run_prints_one_error_line_and_no_numpy_warning(tmp_path, flags, line):
+    # numpy prints its floating-point warnings to stderr in a fresh interpreter
+    code, err = run_cli("train", "--dataset", "sbm:separated", "--epochs", "5", "--out", str(tmp_path), *flags)
+    assert (code, err) == (1, [line])
+
+
 def test_blas_thread_count_leaves_train_artifacts_unchanged(tmp_path):
     # the thread count is read when numpy loads, so each run gets its own interpreter
     src = os.path.dirname(os.path.dirname(os.path.abspath(d.__file__)))
@@ -743,12 +800,22 @@ def test_sweep_rejects_fewer_than_one_job(bundle, tmp_path, capsys, jobs):
 
 
 def test_sweep_workers_are_bounded_by_cells_and_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as where no affinity is reported
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert cli._sweep_workers(1_000_000, 6) == 4
     assert cli._sweep_workers(1_000_000, 3) == 3
     assert cli._sweep_workers(2, 6) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._sweep_workers(8, 6) == 1
+
+
+def test_sweep_workers_are_bounded_by_the_cpus_the_process_may_use(monkeypatch):
+    # as under taskset -c 0 on a 4-CPU host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._sweep_workers(2, 4) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert cli._sweep_workers(8, 6) == 3
 
 
 def test_unknown_flags_and_commands_exit_2(tmp_path):

@@ -77,6 +77,17 @@ CASES = [
     ("group_report float preds", d.group_report,
      (FIVE, np.zeros(5), np.zeros(5, dtype=np.int64), np.zeros(5), [0, 1]),
      ValueError, "preds must hold integer class ids, got dtype float64"),
+    # numpy makes [True, 0, 1] an int array; the bool entry still fails
+    ("build_graph bool label in a list", d.build_graph, ([[0, 1]], np.zeros((3, 2)), [True, 0, 1]),
+     ValueError, "labels must hold integer class ids, got dtype bool"),
+    ("build_graph bool endpoint in a list", d.build_graph, ([(0, True)], np.zeros((3, 2)), [0, 1, 0]),
+     ValueError, "edges must hold integer node indices, got dtype bool"),
+    ("SplitMasks bool id in a list", d.SplitMasks, ([True, 2], [3], [4]),
+     ValueError, "train mask must hold integer node indices, got dtype bool"),
+    ("cross_entropy_loss bool label in a list", d.cross_entropy_loss, (LOGITS, [True, 0, 1], [0, 1, 2]),
+     ValueError, "labels must hold integer class ids, got dtype bool"),
+    ("accuracy bool pred in a list", d.accuracy, ([0, False, 1], [0, 1, 1], [0, 1]),
+     ValueError, "preds must hold integer class ids, got dtype bool"),
     ("group_report float labels", d.group_report,
      (FIVE, np.zeros(5, dtype=np.int64), np.full(5, 0.5), np.zeros(5), [0, 1]),
      ValueError, "labels must hold integer class ids, got dtype float64"),

@@ -58,8 +58,10 @@ def ref_labels(path):
 
 def ref_ambiguity(path):
     with open(path, newline="") as fh:
-        rows = [(_int64(r["node_id"]), float(r["score"]), bool(int(r["is_ambiguous"])))
+        rows = [(_int64(r["node_id"]), float(r["score"]), int(r["is_ambiguous"]))
                 for r in csv.DictReader(fh)]
+    if any(not 0 <= score <= 1 or flag not in (0, 1) for _, score, flag in rows):
+        raise ValueError("a score outside [0, 1] or a flag other than 0 and 1")
     ids = sorted(r[0] for r in rows)
     if ids != list(range(len(rows))):
         raise ValueError("ids are not 0..n-1")
@@ -158,7 +160,7 @@ def ambiguity_text(draw):
     for node in ids:
         cells = {
             "node_id": draw(st.one_of(st.just(node), st.just(node), INTS)),
-            "score": draw(FLOATS),
+            "score": draw(st.one_of(FLOATS, st.floats(0, 1).map(repr))),
             "is_ambiguous": draw(st.one_of(st.sampled_from(["0", "1"]), INTS)),
             "note": draw(st.sampled_from(["", "7", "text", "1.5"])),
         }

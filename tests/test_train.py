@@ -259,6 +259,16 @@ def test_a_non_finite_loss_is_caught_before_its_step():
             run(cfg, g, small_masks(g))
 
 
+def test_an_adam_step_that_overflows_its_moments_is_caught():
+    # g + wd * p overflows in g * g, so v is inf and every later step is 0: the
+    # model would stall untrained while the loss and probabilities stay finite
+    cfg = d.TrainConfig(max_epochs=5, weight_decay=1e308, seed=0)
+    g = d.sbm_generate(d.separated_preset())
+    with np.errstate(over="ignore"):
+        with pytest.raises(d.TrainingDiverged, match="non-finite Adam moments at epoch 0,"):
+            run(cfg, g, small_masks(g))
+
+
 def test_a_last_step_that_leaves_the_parameters_non_finite_is_caught(monkeypatch):
     # the extra pass after the last epoch goes through the same guard as every epoch
     module = sys.modules["disamgnn.train"]
